@@ -42,8 +42,7 @@ class Anticongruence:
     def class_of(self, u: Word) -> FiniteLanguage:
         """The full equivalence class [u] as a language; always finite here."""
         self._check(u)
-        members = self.class_letters(u.letters)
-        return FiniteLanguage(self.alphabet, tuple(Word(self.alphabet, ls) for ls in members))
+        return FiniteLanguage.of_letters(self.alphabet, self.class_letters(u.letters))
 
     def canonical(self, u: Word) -> Word:
         """Lexicographically least member of [u]."""
@@ -63,6 +62,14 @@ class Identity(Anticongruence):
     """Equality of words, the trivial anticongruence."""
 
     kind = "identity"
+
+    # equal alphabets give equal relations, so hull caches keyed on the
+    # relation also hit for separately built identities
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Identity) and other.alphabet == self.alphabet
+
+    def __hash__(self) -> int:
+        return hash(self.alphabet)
 
     def equiv(self, u: Word, v: Word) -> bool:
         self._check(u, v)
@@ -191,10 +198,7 @@ class FiniteTable(Anticongruence):
     def nontrivial_classes(self) -> list[FiniteLanguage]:
         """The classes with more than one member, sorted by least member."""
         reps = sorted({members[0] for members in self._members.values()})
-        return [
-            FiniteLanguage(self.alphabet, tuple(Word(self.alphabet, ls) for ls in self._members[r]))
-            for r in reps
-        ]
+        return [FiniteLanguage.of_letters(self.alphabet, self._members[r]) for r in reps]
 
     def describe(self) -> str:
         shown = sorted(self.pairs)

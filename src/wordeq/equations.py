@@ -22,9 +22,9 @@ from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     FiniteLanguage,
-    ProductLimitExceeded,
     Word,
     WordEqError,
+    product_letters,
 )
 
 
@@ -208,36 +208,33 @@ class PseudoVerdict:
     rhs_language: FiniteLanguage
 
 
-def _side_language(
+def _side_letters(
     side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int
-) -> FiniteLanguage:
-    alphabet = psol.rel.alphabet
+) -> set[tuple[int, ...]]:
     syms = unknowns.symbols
     acc: set[tuple[int, ...]] = {()}
     for i in side.letters:
         name = syms[i]
         if name not in psol.images:
             raise MissingImage(f"no image for unknown {name}")
-        members = psol.rel.class_letters(psol.images[name].rep.letters)
-        if len(acc) * len(members) > limit:
-            raise ProductLimitExceeded(
-                f"side product would exceed {limit} words while substituting {name}"
-            )
-        acc = {u + v for u in acc for v in members}
-    return FiniteLanguage(alphabet, tuple(Word(alphabet, ls) for ls in sorted(acc)))
+        acc = product_letters(acc, psol.rel.class_letters(psol.images[name].rep.letters), limit)
+    return acc
 
 
 def check_pseudo_solution(
     e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> PseudoVerdict:
     """Materialize both side languages and look for a shared word."""
-    lhs_lang = _side_language(e.lhs, e.unknowns, psol, limit)
-    rhs_lang = _side_language(e.rhs, e.unknowns, psol, limit)
-    common_letters = {w.letters for w in lhs_lang} & {w.letters for w in rhs_lang}
-    if common_letters:
-        common = Word(psol.rel.alphabet, min(common_letters))
-        return PseudoVerdict(True, common, lhs_lang, rhs_lang)
-    return PseudoVerdict(False, None, lhs_lang, rhs_lang)
+    lhs = _side_letters(e.lhs, e.unknowns, psol, limit)
+    rhs = _side_letters(e.rhs, e.unknowns, psol, limit)
+    alphabet = psol.rel.alphabet
+    common = lhs & rhs
+    return PseudoVerdict(
+        bool(common),
+        Word(alphabet, min(common)) if common else None,
+        FiniteLanguage.of_letters(alphabet, lhs),
+        FiniteLanguage.of_letters(alphabet, rhs),
+    )
 
 
 def align_equivalent_sides(
@@ -410,19 +407,14 @@ def enumerate_pseudo_solutions(
             return cached
 
     else:
-        memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {(): frozenset({()})}
+        memo: dict[tuple[int, ...], set[tuple[int, ...]]] = {(): {()}}
 
-        def side_language(cids: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        def side_language(cids: tuple[int, ...]) -> set[tuple[int, ...]]:
             cached = memo.get(cids)
-            if cached is not None:
-                return cached
-            base = side_language(cids[:-1])
-            members = langs[cids[-1]]
-            if len(base) * len(members) > limit:
-                raise ProductLimitExceeded(f"side product would exceed {limit} words")
-            lang = frozenset(u + v for u in base for v in members)
-            memo[cids] = lang
-            return lang
+            if cached is None:
+                cached = product_letters(side_language(cids[:-1]), langs[cids[-1]], limit)
+                memo[cids] = cached
+            return cached
 
     examined = 0
     emitted = 0

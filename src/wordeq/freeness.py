@@ -1,10 +1,11 @@
 """Free-monoid machinery: code testing, minimal generators, hulls and rank.
 
 is_code runs the Sardinas-Patterson dangling-suffix procedure, extended to
-reconstruct the shortest doubly-factorizable word when the test fails. The
-free hull is computed by the classical stability reduction; hull_oracle is
-an independent brute-force cross-check that intersects the monoids of all
-covering codes drawn from the factor universe.
+reconstruct the shortest doubly-factorizable word when the test fails.
+hull_letters, the one hull engine, interleaves the classical stability
+reduction with class closure; the free hull is its run under Identity.
+hull_oracle is an independent brute-force cross-check that intersects the
+monoids of all covering codes drawn from the factor universe.
 """
 from __future__ import annotations
 
@@ -14,7 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .words import EnumerationGuardExceeded, Word, is_in_monoid
+from .anticongruence import Anticongruence, Identity
+from .words import EnumerationGuardExceeded, Word, is_in_monoid, letters_over, reachable_suffixes
+
+Letters = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -54,49 +58,49 @@ class Basis:
         return "{" + ", ".join(str(w) for w in self.words) + "}"
 
 
-def _canonical_words(words: Iterable[Word]) -> frozenset[Word]:
-    out = set()
-    for w in words:
-        if not w.letters:
-            raise ValueError("the empty word is not allowed here")
-        out.add(w)
-    return frozenset(out)
-
-
 def is_code(words: Iterable[Word]) -> CodeVerdict:
     """Decide whether the set freely generates its monoid (Sardinas-Patterson)."""
-    return _is_code_cached(_canonical_words(words))
+    alphabet, letters = letters_over(words)
+    if () in letters:
+        raise ValueError("the empty word is not allowed here")
+    found = _is_code_cached(frozenset(letters))
+    if found is None:
+        return CodeVerdict(True)
+    witness, fa, fb = found
+    return CodeVerdict(
+        False,
+        Word(alphabet, witness),
+        tuple(Word(alphabet, f) for f in fa),
+        tuple(Word(alphabet, f) for f in fb),
+    )
 
 
 @lru_cache(maxsize=1 << 16)
-def _is_code_cached(words: frozenset[Word]) -> CodeVerdict:
-    bs = sorted(w.letters for w in words)
+def _is_code_cached(words: frozenset[Letters]) -> Optional[tuple[Letters, tuple, tuple]]:
+    """None for a code, else the witness and its two factor sequences, as letter tuples."""
+    bs = sorted(words)
     if len(bs) <= 1:
-        return CodeVerdict(True)
-    alphabet = next(iter(words)).alphabet
-    against = set(bs)
+        return None
 
     # Dijkstra over dangling suffixes. A state is the overhang by which one
     # factorization runs ahead of the other; the priority (length, prefix)
     # makes the first completion the shortest, lexicographically least
     # doubly-factorizable word.
-    heap: list[tuple[int, tuple[int, ...], int, tuple[int, ...], tuple, tuple]] = []
+    heap: list[tuple[int, Letters, int, Letters, tuple, tuple]] = []
     tick = itertools.count()
     for b in bs:
         for c in bs:
             if b != c and len(b) < len(c) and c[: len(b)] == b:
                 z = c[len(b) :]
                 heapq.heappush(heap, (len(c), c, next(tick), z, (b,), (c,)))
-    seen: set[tuple[int, ...]] = set()
+    seen: set[Letters] = set()
     while heap:
         cost, longer, _, z, short_fs, long_fs = heapq.heappop(heap)
-        if z in against:
-            wit = Word(alphabet, longer)
-            fa = tuple(Word(alphabet, f) for f in short_fs + (z,))
-            fb = tuple(Word(alphabet, f) for f in long_fs)
-            if fa[0].letters > fb[0].letters:
+        if z in words:
+            fa, fb = short_fs + (z,), long_fs
+            if fa[0] > fb[0]:
                 fa, fb = fb, fa
-            return CodeVerdict(False, wit, fa, fb)
+            return longer, fa, fb
         if z in seen:
             continue
         seen.add(z)
@@ -112,7 +116,7 @@ def _is_code_cached(words: frozenset[Word]) -> CodeVerdict:
                     heap,
                     (cost + len(tail), longer + tail, next(tick), tail, long_fs, short_fs + (u,)),
                 )
-    return CodeVerdict(True)
+    return None
 
 
 def minimal_generators(words: Iterable[Word]) -> frozenset[Word]:
@@ -120,57 +124,56 @@ def minimal_generators(words: Iterable[Word]) -> frozenset[Word]:
 
     ε is dropped outright; the result generates the same monoid.
     """
-    pool = frozenset(w for w in words if w.letters)
-    bs = sorted({w.letters for w in pool})
-    out = set()
-    for w in pool:
-        target = w.letters
-        n = len(target)
-        # in_monoid[i]: the suffix target[i:] is a product of pool words
-        in_monoid = [False] * (n + 1)
-        in_monoid[n] = True
-        for i in range(n - 1, -1, -1):
-            in_monoid[i] = any(
-                len(b) <= n - i and target[i : i + len(b)] == b and in_monoid[i + len(b)]
-                for b in bs
-            )
-        redundant = any(
-            len(b) < n and target[: len(b)] == b and in_monoid[len(b)] for b in bs
-        )
-        if not redundant:
-            out.add(w)
-    return frozenset(out)
+    alphabet, letters = letters_over(words)
+    letters.discard(())
+    return frozenset(Word(alphabet, w) for w in _minimal_letters(letters))
 
 
-def _stability_word(verdict: CodeVerdict) -> Word:
-    """Overhang z of the witness's two first factors (shorter·z = longer)."""
-    fa = verdict.factorization_a[0]
-    fb = verdict.factorization_b[0]
-    shorter, longer = (fa, fb) if len(fa) < len(fb) else (fb, fa)
-    assert longer.letters[: len(shorter)] == shorter.letters
-    return Word(longer.alphabet, longer.letters[len(shorter) :])
+def _minimal_letters(pool: set[Letters]) -> list[Letters]:
+    """Sorted members of pool outside the monoid of the rest, cut to the shorter
+    words: all factors of a product of two or more pool words are shorter."""
+    bs = sorted(pool)
+    return [w for w in bs if not reachable_suffixes(w, [b for b in bs if len(b) < len(w)])[0]]
+
+
+@lru_cache(maxsize=1 << 14)
+def hull_letters(rel: Anticongruence, words: frozenset[Letters]) -> tuple[Letters, ...]:
+    """Sorted basis of the smallest free monoid containing words with a basis closed
+    under rel's classes (under Identity, the free hull).
+
+    While the class-closed minimal generators are not a code, the overhang
+    z of the witness's first factors (shorter·z = longer) lies in every
+    free monoid containing them and is adjoined. No forced word is longer
+    than the longest input, so the loop converges.
+    """
+    forced = set(words)
+    while True:
+        forced = {m for w in forced for m in rel.class_letters(w)}
+        basis = _minimal_letters(forced)
+        found = _is_code_cached(frozenset(basis))
+        if found is None:
+            break
+        a, b = found[1][0], found[2][0]
+        shorter, longer = (a, b) if len(a) < len(b) else (b, a)
+        forced.add(longer[len(shorter) :])
+    members = set(basis)
+    for b in basis:
+        if not members.issuperset(rel.class_letters(b)):
+            raise AssertionError(f"basis not class-closed at {b}")
+    return tuple(basis)
 
 
 def free_hull(words: Iterable[Word]) -> Basis:
     """Basis of the smallest free monoid containing the given words.
 
-    Repeatedly reduces to minimal generators and, while the candidate is
-    not a code, adjoins the overhang of the witness's diverging first
-    factors; the overhang lies in every free monoid containing the set, so
-    the loop converges to the hull.
+    This is the pseudo-free hull under the identity relation.
     """
-    return _free_hull_cached(frozenset(w for w in words if w.letters))
-
-
-@lru_cache(maxsize=1 << 14)
-def _free_hull_cached(words: frozenset[Word]) -> Basis:
-    forced = set(words)
-    while True:
-        basis = minimal_generators(forced)
-        verdict = is_code(basis)
-        if verdict.is_code:
-            return Basis(tuple(sorted(basis)))
-        forced.add(_stability_word(verdict))
+    alphabet, letters = letters_over(words)
+    letters.discard(())
+    if not letters:
+        return Basis(())
+    basis = hull_letters(Identity(alphabet), frozenset(letters))
+    return Basis(tuple(Word(alphabet, b) for b in basis))
 
 
 def rank(words: Iterable[Word]) -> int:

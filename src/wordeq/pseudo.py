@@ -6,22 +6,22 @@ the basis is itself a union of classes, and every element factors into a
 unique sequence of basis classes; that sequence is the class factorization
 computed here. The pseudo-free hull of a word set is the smallest
 class-closed free monoid containing it, and the pseudo-rank counts the
-classes of its basis.
+classes of its basis. Under the identity relation it is the free hull.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .anticongruence import Anticongruence, EqClass
-from .freeness import Basis, is_code, minimal_generators, _stability_word
+from .freeness import Basis, hull_letters
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     FiniteLanguage,
     Word,
     WordEqError,
     factorizations,
+    letters_over,
     product,
 )
 
@@ -100,31 +100,17 @@ def class_closure(rel: Anticongruence, words: Iterable[Word]) -> frozenset[Word]
 def pseudo_free_hull(rel: Anticongruence, words: Iterable[Word]) -> PseudoFreeBasis:
     """Basis and classes of the smallest class-closed free monoid containing words.
 
-    Alternates class closure with the stability reduction of the free
-    hull: class members are forced by closedness, overhang words by
-    freeness, and both only add words no longer than the longest input, so
-    the forced set converges.
+    The basis comes from freeness.hull_letters, which free_hull also runs.
     """
-    return _pseudo_free_hull_cached(rel, frozenset(w for w in words if w.letters))
-
-
-@lru_cache(maxsize=1 << 14)
-def _pseudo_free_hull_cached(rel: Anticongruence, words: frozenset[Word]) -> PseudoFreeBasis:
-    forced = set(words)
-    while True:
-        forced = set(class_closure(rel, forced))
-        basis = minimal_generators(forced)
-        verdict = is_code(basis)
-        if verdict.is_code:
-            break
-        forced.add(_stability_word(verdict))
-
-    basis_words = Basis(tuple(sorted(basis)))
-    for b in basis_words:
-        if not all(Word(b.alphabet, ls) in basis for ls in rel.class_letters(b.letters)):
-            raise AssertionError(f"basis not class-closed at {b}")
-    classes = sorted({EqClass.of(rel, b) for b in basis_words}, key=lambda c: c.rep.shortlex_key())
-    return PseudoFreeBasis(rel, basis_words, tuple(classes))
+    alphabet, letters = letters_over(words, rel.alphabet)
+    letters.discard(())
+    basis = hull_letters(rel, frozenset(letters))
+    reps = sorted({rel.class_letters(b)[0] for b in basis}, key=lambda t: (len(t), t))
+    return PseudoFreeBasis(
+        rel,
+        Basis(tuple(Word(alphabet, b) for b in basis)),
+        tuple(EqClass(rel, Word(alphabet, r)) for r in reps),
+    )
 
 
 def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:

@@ -6,7 +6,7 @@ declaration order fixes the lexicographic order used everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 
@@ -184,13 +184,12 @@ class FiniteLanguage:
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word] = ()) -> FiniteLanguage:
-        ws = []
-        for w in words:
-            if w.alphabet != alphabet:
-                raise AlphabetMismatch("word from a different alphabet")
-            ws.append(w)
-        dedup = sorted({w.letters for w in ws})
-        return cls(alphabet, tuple(Word(alphabet, ls) for ls in dedup))
+        return cls.of_letters(alphabet, letters_over(words, alphabet)[1])
+
+    @classmethod
+    def of_letters(cls, alphabet: Alphabet, letters: Iterable[tuple[int, ...]]) -> FiniteLanguage:
+        """The language of distinct letter tuples over alphabet."""
+        return cls(alphabet, tuple(Word(alphabet, ls) for ls in sorted(letters)))
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> FiniteLanguage:
@@ -210,15 +209,33 @@ class FiniteLanguage:
         return "{" + ", ".join(str(w) for w in self.words) + "}"
 
 
+def product_letters(a: Collection[tuple], b: Collection[tuple], limit: int) -> set[tuple]:
+    """{u+v | u in a, v in b} over letter tuples; checks len(a)*len(b) <= limit first."""
+    if len(a) * len(b) > limit:
+        raise ProductLimitExceeded(f"product of {len(a)} x {len(b)} words exceeds limit {limit}")
+    return {u + v for u in a for v in b}
+
+
 def product(
     k: FiniteLanguage, l: FiniteLanguage, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> FiniteLanguage:
     """Elementwise concatenation {u·v | u in K, v in L}, canonicalized."""
     _require_same_alphabet(k, l)
-    if len(k) * len(l) > limit:
-        raise ProductLimitExceeded(f"product of {len(k)} x {len(l)} words exceeds limit {limit}")
-    combined = sorted({u.letters + v.letters for u in k.words for v in l.words})
-    return FiniteLanguage(k.alphabet, tuple(Word(k.alphabet, ls) for ls in combined))
+    combined = product_letters([u.letters for u in k.words], [v.letters for v in l.words], limit)
+    return FiniteLanguage.of_letters(k.alphabet, combined)
+
+
+def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]) -> list[bool]:
+    """reach[i] tells whether target[i:] is a product of basis words (nonempty tuples)."""
+    n = len(target)
+    reach = [False] * n + [True]
+    for i in range(n - 1, -1, -1):
+        for b in basis:
+            j = i + len(b)
+            if j <= n and reach[j] and target[i:j] == b:
+                reach[i] = True
+                break
+    return reach
 
 
 def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
@@ -233,42 +250,39 @@ def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
         raise ValueError("empty word not allowed in a factorization basis")
     target = w.letters
     n = len(target)
-    # starts[i] = basis indices whose word matches target at position i
-    starts: list[list[int]] = [[] for _ in range(n)]
-    for bi, b in enumerate(bs):
-        m = len(b)
-        for i in range(n - m + 1):
-            if target[i : i + m] == b:
-                starts[i].append(bi)
-
+    reach = reachable_suffixes(target, bs)
     out: list[tuple[Word, ...]] = []
-    stack: list[int] = []
 
-    def walk(pos: int) -> None:
+    # only reachable positions are entered, so every branch ends in a result
+    def walk(pos: int, factors: tuple[Word, ...]) -> None:
         if pos == n:
-            out.append(tuple(Word(w.alphabet, bs[bi]) for bi in stack))
+            out.append(factors)
             return
-        for bi in starts[pos]:
-            stack.append(bi)
-            walk(pos + len(bs[bi]))
-            stack.pop()
+        for b in bs:
+            j = pos + len(b)
+            if j <= n and reach[j] and target[pos:j] == b:
+                walk(j, factors + (Word(w.alphabet, b),))
 
-    walk(0)
+    if reach[0]:
+        walk(0, ())
     return out
 
 
 def is_in_monoid(w: Word, basis: Iterable[Word]) -> bool:
     """Membership of w in the monoid generated by basis (reachability check)."""
-    bs = sorted({b.letters for b in basis if b.letters})
-    target = w.letters
-    n = len(target)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for i in range(n):
-        if not reach[i]:
-            continue
-        for b in bs:
-            j = i + len(b)
-            if j <= n and target[i:j] == b:
-                reach[j] = True
-    return reach[n]
+    return reachable_suffixes(w.letters, [b.letters for b in basis if b.letters])[0]
+
+
+def letters_over(
+    words: Iterable[Word], alphabet: Optional[Alphabet] = None
+) -> tuple[Optional[Alphabet], set[tuple[int, ...]]]:
+    """The alphabet of all the words (the given one, else the first word's)
+    and their letter tuples; AlphabetMismatch when some word lies elsewhere."""
+    out = set()
+    for w in words:
+        if alphabet is None:
+            alphabet = w.alphabet
+        elif w.alphabet is not alphabet and w.alphabet != alphabet:
+            raise AlphabetMismatch(f"mixed alphabets: {alphabet.symbols} vs {w.alphabet.symbols}")
+        out.add(w.letters)
+    return alphabet, out

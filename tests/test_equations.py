@@ -6,10 +6,12 @@ from wordeq import (
     EqClass,
     Equation,
     EquationSyntaxError,
+    FiniteLanguage,
     Identity,
     InvalidPseudoSolution,
     MissingImage,
     MorphicPermutation,
+    ProductLimitExceeded,
     PseudoSolution,
     Solution,
     Word,
@@ -23,6 +25,7 @@ from wordeq import (
     enumerate_pseudo_solutions,
     is_in_monoid,
     parse_equation,
+    product,
     solution_rank,
 )
 
@@ -417,3 +420,29 @@ class TestReversalNegativeControl:
             for t in AB.words_of_length(n):
                 basis = [t] if t == t.reverse() else [t, t.reverse()]
                 assert not all(is_in_monoid(w, basis) for w in targets)
+
+
+class TestProductGuardBoundary:
+    # every product step checks its own pair count against the guard: a
+    # limit equal to the largest step passes, one below it raises
+
+    def assert_boundary(self, run, pairs):
+        run(pairs)
+        with pytest.raises(ProductLimitExceeded):
+            run(pairs - 1)
+
+    def test_product(self):
+        k = FiniteLanguage.of(AB, [AB.word(t) for t in ("a", "b", "aa")])
+        self.assert_boundary(lambda limit: product(k, k, limit=limit), 9)
+
+    def test_check_pseudo_solution(self):
+        # x y with x = [ab], y = [a] under the swap: at most 2 x 2 pairs
+        e, p = parse_equation("x y = y x"), psol(swap_ab(), None, x="ab", y="a")
+        self.assert_boundary(lambda limit: check_pseudo_solution(e, p, limit=limit), 4)
+
+    def test_enumerate_pseudo_solutions(self):
+        # the classes up to length 1 are {ε} and {a, b}: at most 2 x 2 pairs
+        e = parse_equation("x y = y x")
+        self.assert_boundary(
+            lambda limit: list(enumerate_pseudo_solutions(e, swap_ab(), 1, limit=limit)), 4
+        )

@@ -2,6 +2,7 @@ import pytest
 
 from wordeq import (
     Alphabet,
+    AlphabetMismatch,
     EnumerationGuardExceeded,
     free_hull,
     hull_oracle,
@@ -11,7 +12,7 @@ from wordeq import (
     rank,
 )
 
-from oracles import all_word_sets, brute_double_factorization, brute_is_code
+from oracles import all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -122,6 +123,19 @@ class TestFreeHull:
         assert rank([]) == 0
 
 
+class TestAlphabetBoundary:
+    @pytest.mark.parametrize("fn", [is_code, minimal_generators, free_hull])
+    def test_mixed_alphabets_rejected(self, fn):
+        with pytest.raises(AlphabetMismatch):
+            fn([AB.word("a"), ABC.word("b")])
+        with pytest.raises(AlphabetMismatch):
+            fn([AB.word("ab"), ABC.word("ab")])
+
+    @pytest.mark.parametrize("fn", [is_code, minimal_generators, free_hull])
+    def test_equal_alphabets_accepted(self, fn):
+        fn([AB.word("a"), Alphabet("ab").word("b")])
+
+
 class TestHullOracle:
     def test_overlap(self):
         assert str(hull_oracle(words(AB, "a", "ab", "ba"))) == "{a, b}"
@@ -165,3 +179,11 @@ class TestSmallSweep:
             assert is_code(basis.words).is_code
             for x in xs:
                 assert is_in_monoid(x, basis.words)
+
+
+def test_minimal_generators_against_brute_factorizations():
+    # a word is dropped iff it is a product of the other words; all 4525
+    # binary sets of at most three words of length at most four
+    for xs in all_word_sets(AB, 3, 4):
+        expect = {w for w in xs if not brute_factorizations(w, sorted(xs - {w}))}
+        assert minimal_generators(xs) == expect, sorted(map(str, xs))

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from wordeq import (
     Alphabet,
+    AlphabetMismatch,
     EqClass,
     Identity,
     MorphicPermutation,
     NotInMonoid,
+    Word,
     close_pairs,
     class_closure,
     class_factor_stability,
@@ -19,7 +22,7 @@ from wordeq import (
     pseudo_rank,
 )
 
-from oracles import all_word_sets
+from oracles import all_word_sets, brute_reachable
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -39,6 +42,33 @@ def three_letter_table():
             (ABC.word("abc"), ABC.word("cba")),
         ],
     )
+
+
+def random_table(rng):
+    alphabet = Alphabet("abc"[: rng.randint(2, 3)])
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        n = rng.randint(1, 3)
+        u, v = (Word(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(n))) for _ in "uv")
+        pairs.append((u, v))
+    return close_pairs(alphabet, pairs)
+
+
+def class_closed_codes(rel, max_len):
+    """Every code of words up to max_len that is a union of classes."""
+    classes = sorted({rel.class_letters(w.letters) for w in rel.alphabet.words_up_to(max_len) if w})
+    codes = []
+
+    def grow(start, chosen):
+        # supersets of a non-code are not codes, so only codes are extended
+        for i in range(start, len(classes)):
+            basis = chosen + [Word(rel.alphabet, t) for t in classes[i]]
+            if is_code(basis).is_code:
+                codes.append(basis)
+                grow(i + 1, basis)
+
+    grow(0, [])
+    return codes
 
 
 def strs(words):
@@ -119,51 +149,32 @@ class TestPseudoFreeHull:
 
     def test_minimality_against_slice_oracle(self):
         # the hull monoid, cut at the longest input length, must equal the
-        # intersection of every class-closed code covering the input
-        def monoid_slice(basis, max_len):
-            seen = {()}
-            frontier = [()]
-            while frontier:
-                nxt = []
-                for t in frontier:
-                    for b in basis:
-                        cand = t + b.letters
-                        if len(cand) <= max_len and cand not in seen:
-                            seen.add(cand)
-                            nxt.append(cand)
-                frontier = nxt
-            return frozenset(seen)
-
-        cases = [
-            (swap_ab(), [AB.word("ab")]),
-            (swap_ab(), [AB.word("aa"), AB.word("b")]),
-            (swap_ab(), [AB.word("ab"), AB.word("a")]),
-            (Identity(AB), [AB.word("ab"), AB.word("aa")]),
-            (
-                MorphicPermutation.from_cycles(ABC, "(a b c)"),
-                [ABC.word("ab")],
-            ),
+        # intersection of every class-closed code covering the input: every
+        # permutation of two and three letters, and seeded random tables
+        relations = [
+            (MorphicPermutation(alphabet, perm), max_len)
+            for alphabet, max_len in ((AB, 3), (ABC, 2))
+            for perm in itertools.permutations(range(len(alphabet)))
         ]
-        for rel, xs in cases:
-            max_len = max(len(w) for w in xs)
-            universe = [w for w in rel.alphabet.words_up_to(max_len) if w.letters]
-            slices = []
-            for k in range(1, len(universe) + 1):
-                for combo in itertools.combinations(universe, k):
-                    basis = set(combo)
-                    if not all(m in basis for b in basis for m in rel.class_of(b)):
-                        continue
-                    if not is_code(basis).is_code:
-                        continue
-                    slice_ = monoid_slice(sorted(basis), max_len)
-                    if all(w.letters in slice_ for w in xs):
-                        slices.append(slice_)
-            expect = frozenset.intersection(*slices)
-            hull = pseudo_free_hull(rel, xs)
-            assert monoid_slice(list(hull.basis_words), max_len) == expect, (
-                rel.describe(),
-                strs(xs),
-            )
+        rng = random.Random(1906)
+        relations += [(random_table(rng), 2) for _ in range(10)]
+        for rel, max_len in relations:
+            slices = [brute_reachable(code, max_len) for code in class_closed_codes(rel, max_len)]
+            for xs in all_word_sets(rel.alphabet, 2, max_len):
+                n = max(len(w) for w in xs)
+                covering = [s for s in slices if all(w.letters in s for w in xs)]
+                expect = {t for t in set.intersection(*covering) if len(t) <= n}
+                hull = pseudo_free_hull(rel, xs)
+                assert brute_reachable(list(hull.basis_words), n) == expect, (
+                    rel.describe(),
+                    strs(xs),
+                )
+
+    def test_rejects_words_over_another_alphabet(self):
+        with pytest.raises(AlphabetMismatch):
+            pseudo_free_hull(swap_ab(), [ABC.word("c")])
+        with pytest.raises(AlphabetMismatch):
+            pseudo_free_hull(three_letter_table(), [ABC.word("a"), AB.word("b")])
 
 
 class TestClassFactorization:
