@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -116,7 +117,7 @@ def parse_config(path: str) -> JobConfig:
     for key in ("max_len", "budget", "product_guard"):
         if key in by_key:
             text = by_key[key][1]
-            if not text.lstrip("-").isdigit():
+            if not re.fullmatch(r"-?[0-9]+", text):
                 raise fail(key, ValueError(f"expected an integer, got {text!r}"))
             value = int(text)
             if value < 0 or (key != "max_len" and value == 0):

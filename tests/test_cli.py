@@ -79,6 +79,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="max_len"):
             parse_config(write(tmp_path, "alphabet: a b\nmax_len: soon\n"))
 
+    @pytest.mark.parametrize("key", ["max_len", "budget", "product_guard"])
+    @pytest.mark.parametrize("text", ["--3", "²", "3.0"])
+    def test_malformed_integer_is_config_error(self, tmp_path, key, text):
+        cfg = write(tmp_path, f"alphabet: a b\nrel: identity\nequation: x y = y x\n{key}: {text}\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg)
+        code, out, err = run(["search", "--config", cfg, "--machine"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "Traceback" not in err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")
