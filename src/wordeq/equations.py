@@ -208,9 +208,7 @@ class PseudoVerdict:
     rhs_language: FiniteLanguage
 
 
-def _side_letters(
-    side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int
-) -> set[tuple[int, ...]]:
+def _side_letters(side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int) -> set[tuple]:
     syms = unknowns.symbols
     acc: set[tuple[int, ...]] = {()}
     for i in side.letters:

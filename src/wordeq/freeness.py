@@ -66,13 +66,9 @@ def is_code(words: Iterable[Word]) -> CodeVerdict:
     found = _is_code_cached(frozenset(letters))
     if found is None:
         return CodeVerdict(True)
-    witness, fa, fb = found
-    return CodeVerdict(
-        False,
-        Word(alphabet, witness),
-        tuple(Word(alphabet, f) for f in fa),
-        tuple(Word(alphabet, f) for f in fb),
-    )
+    witness, *factorizations = found
+    fa, fb = (tuple(Word(alphabet, f) for f in fs) for fs in factorizations)
+    return CodeVerdict(False, Word(alphabet, witness), fa, fb)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -130,8 +126,10 @@ def minimal_generators(words: Iterable[Word]) -> frozenset[Word]:
 
 
 def _minimal_letters(pool: set[Letters]) -> list[Letters]:
-    """Sorted members of pool outside the monoid of the rest, cut to the shorter
-    words: all factors of a product of two or more pool words are shorter."""
+    """Sorted members of pool that are not products of other members.
+
+    Only members shorter than w can be factors of a product equal to w.
+    """
     bs = sorted(pool)
     return [w for w in bs if not reachable_suffixes(w, [b for b in bs if len(b) < len(w)])[0]]
 

@@ -49,8 +49,8 @@ def random_table(rng):
     pairs = []
     for _ in range(rng.randint(1, 4)):
         n = rng.randint(1, 3)
-        u, v = (Word(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(n))) for _ in "uv")
-        pairs.append((u, v))
+        u, v = (tuple(rng.randrange(len(alphabet)) for _ in range(n)) for _ in range(2))
+        pairs.append((Word(alphabet, u), Word(alphabet, v)))
     return close_pairs(alphabet, pairs)
 
 
