@@ -9,11 +9,12 @@ enumeration.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
-import operator
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anticongruence import Anticongruence, EqClass, Identity
 from .freeness import rank
@@ -22,6 +23,7 @@ from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     FiniteLanguage,
+    ProductLimitExceeded,
     Word,
     WordEqError,
     product_letters,
@@ -300,13 +302,18 @@ class DescentResult:
         return solution_rank(self.solution)
 
 
-def _class_symbol(c: EqClass) -> str:
-    syms = c.rep.alphabet.symbols
-    if all(len(s) == 1 for s in syms):
-        body = "".join(syms[i] for i in c.rep.letters)
-    else:
-        body = "·".join(syms[i] for i in c.rep.letters)
-    return f"[{body}]"
+def _class_symbols(classes: Sequence[EqClass]) -> list[str]:
+    """One symbol per class, [rep]; colliding names get their basis index appended."""
+    names = []
+    for c in classes:
+        syms = c.rep.alphabet.symbols
+        sep = "" if all(len(s) == 1 for s in syms) else "·"
+        names.append("[" + sep.join(syms[i] for i in c.rep.letters) + "]")
+    if len(set(names)) < len(names):
+        # multi-character symbols can join to the same name, as a, b·c and a·b, c
+        repeated = {n for n in names if names.count(n) > 1}
+        names = [f"{n}#{i}" if n in repeated else n for i, n in enumerate(names)]
+    return names
 
 
 def descend(
@@ -319,12 +326,14 @@ def descend(
     words over the hull's class alphabet. The result is checked to solve
     the equation and to have rank equal to the number of hull classes.
     """
-    verdict = check_pseudo_solution(e, psol, limit=limit)
-    if not verdict.valid:
+    common = _side_letters(e.lhs, e.unknowns, psol, limit) & _side_letters(
+        e.rhs, e.unknowns, psol, limit
+    )
+    if not common:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
     hull = pseudo_free_hull(psol.rel, psol.union_members())
     if hull.classes:
-        class_alphabet = Alphabet(_class_symbol(c) for c in hull.classes)
+        class_alphabet = Alphabet(_class_symbols(hull.classes))
     else:
         class_alphabet = Alphabet(("[·]",))  # all images ε; one unused symbol
     index = {c: i for i, c in enumerate(hull.classes)}
@@ -341,16 +350,80 @@ def descend(
         raise DescentFailed(
             f"descended rank {solution_rank(alpha)} differs from pseudo-rank {len(hull.classes)}"
         )
-    return DescentResult(class_alphabet, alpha, hull, verdict.common)
+    return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
+
+
+class _Representatives:
+    """Shortlex canonical representatives of rel up to max_len, generated on demand.
+
+    words[i] is the least member of class i, sizes[i] its class size and
+    members[i] its sorted members; index maps every member of a generated
+    class to i, so a word outside index belongs to no class generated yet.
+    """
+
+    def __init__(self, rel: Anticongruence, max_len: int):
+        self._rel = rel
+        k = len(rel.alphabet)
+        self._source = itertools.chain.from_iterable(
+            itertools.product(range(k), repeat=n) for n in range(max_len + 1)
+        )
+        self.words: list[tuple[int, ...]] = []
+        self.lens: list[int] = []
+        self.sizes: list[int] = []
+        self.members: list[tuple[tuple[int, ...], ...]] = []
+        self.index: dict[tuple[int, ...], int] = {}
+        self._grow()  # ε, alone in its class, is representative 0
+
+    def _grow(self) -> bool:
+        for w in self._source:
+            members = self._rel.class_letters(w)
+            if members[0] == w:
+                i = len(self.words)
+                self.words.append(w)
+                self.lens.append(len(w))
+                self.sizes.append(len(members))
+                self.members.append(members)
+                for m in members:
+                    self.index[m] = i
+                return True
+        return False
+
+    def shorter_than(self, length: int, cap: float) -> int:
+        """How many representatives are shorter than length; exact up to cap, else above cap."""
+        while (not self.words or self.lens[-1] < length) and len(self.words) <= cap and self._grow():
+            pass
+        return bisect.bisect_left(self.lens, length)
 
 
 def canonical_representatives(rel: Anticongruence, max_len: int) -> list[Word]:
     """Shortlex list of the least member of every class with representatives up to max_len."""
-    out = []
-    for w in rel.alphabet.words_up_to(max_len):
-        if rel.class_letters(w.letters)[0] == w.letters:
-            out.append(w)
-    return out
+    reps = _Representatives(rel, max_len)
+    reps.shorter_than(max_len + 1, math.inf)
+    return [Word(rel.alphabet, w) for w in reps.words]
+
+
+def _filler(segments: list[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """w -> segments[0] w segments[1] w ... segments[-1]."""
+    if len(segments) == 2:
+        return lambda w, a=segments[0], b=segments[1]: a + w + b
+
+    def fill(w: tuple[int, ...]) -> tuple[int, ...]:
+        out = segments[0]
+        for s in segments[1:]:
+            out = out + w + s
+        return out
+
+    return fill
+
+
+def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
+    """The error product_letters raises on the first step of a side product over limit."""
+    acc = 1
+    for s in sizes:
+        if acc * s > limit:
+            break
+        acc *= s
+    return ProductLimitExceeded(f"product of {acc} x {s} words exceeds limit {limit}")
 
 
 def enumerate_pseudo_solutions(
@@ -362,75 +435,122 @@ def enumerate_pseudo_solutions(
 ) -> Iterator[PseudoSolution]:
     """All valid pseudo-solutions with representatives up to max_len.
 
-    Assignments run in lexicographic order over shortlex candidate lists,
-    one class per canonical representative, and are pruned by total side
-    length before any product is materialized. budget caps the number of
-    assignments examined; exceeding it raises BudgetExceeded with progress
-    counts.
+    Assignments run in lexicographic order over the shortlex canonical
+    representatives, one class per representative, unknowns in declaration
+    order. The walk fixes all unknowns but the last and then only tries
+    the representatives of the one length that balances the two sides;
+    each of those leaves is decided by comparing words when all its
+    classes are singletons, else by building one side and testing its
+    words block by block against the classes of the other. Before a side
+    is built, the product of its class sizes is compared with limit
+    (ProductLimitExceeded). budget caps the number of assignments examined
+    in lexicographic order, the ones skipped for their length included;
+    exceeding it raises BudgetExceeded with progress counts. Word and
+    EqClass objects are built only for emitted solutions.
     """
     names = e.unknowns.symbols
-    reps = canonical_representatives(rel, max_len)
-    classes = [EqClass(rel, w) for w in reps]
-    langs = [rel.class_letters(w.letters) for w in reps]
-    lens = [len(w) for w in reps]
-    name_pos = {n: i for i, n in enumerate(names)}
-    lhs_names, rhs_names = e.occurrence_names()
-    lhs_occ = [name_pos[n] for n in lhs_names]
-    rhs_occ = [name_pos[n] for n in rhs_names]
-    # equal occurrence multisets make the side lengths agree for every assignment
-    balanced = sorted(lhs_occ) == sorted(rhs_occ)
+    last = len(names) - 1
+    lhs, rhs = e.lhs.letters, e.rhs.letters
+    n_lhs, n_rhs = lhs.count(last), rhs.count(last)
+    reps = _Representatives(rel, max_len)
+    words, lens, sizes, members, index = reps.words, reps.lens, reps.sizes, reps.members, reps.index
+    cap = math.inf if budget is None else budget
+    classes: dict[int, EqClass] = {}
+    examined = emitted = 0
 
-    def occ_key(occ: list[int]):
-        if not occ:
-            return lambda a: ()
-        if len(occ) == 1:
-            i = occ[0]
-            return lambda a: (a[i],)
-        return operator.itemgetter(*occ)
+    def skip(count: int) -> None:
+        # count assignments as examined, or stop where the budget runs out
+        nonlocal examined
+        if count > cap - examined:
+            raise BudgetExceeded(f"assignment budget {budget} exceeded", budget, emitted)
+        examined += count
 
-    lhs_key = occ_key(lhs_occ)
-    rhs_key = occ_key(rhs_occ)
+    def class_of(i: int) -> EqClass:
+        c = classes.get(i)
+        if c is None:
+            c = classes[i] = EqClass(rel, Word(rel.alphabet, words[i]))
+        return c
 
-    singletons = all(len(members) == 1 for members in langs)
-    if singletons:
-        # identity-like relation: side products are single words
-        single = [members[0] for members in langs]
-        word_memo: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+    def segments(side: tuple[int, ...], prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
+        out = [()]
+        for u in side:
+            if u == last:
+                out.append(())
+            else:
+                out[-1] += words[prefix[u]]
+        return out
 
-        def side_word(cids: tuple[int, ...]) -> tuple[int, ...]:
-            cached = word_memo.get(cids)
-            if cached is None:
-                cached = side_word(cids[:-1]) + single[cids[-1]]
-                word_memo[cids] = cached
-            return cached
+    def decide(side: list[int], other: list[int]) -> bool:
+        # build side's product left to right, dropping a word as soon as one
+        # of other's blocks lies inside it and is not in that block's class
+        blocks, pos = [], 0
+        for c in other:
+            if lens[c]:
+                blocks.append((pos, pos + lens[c], c))
+                pos += lens[c]
+        built, pos, k = [()], 0, 0
+        for c in side:
+            built = [u + v for u in built for v in members[c]]
+            pos += lens[c]
+            while k < len(blocks) and blocks[k][1] <= pos:
+                a, b, d = blocks[k]
+                built = [u for u in built if index.get(u[a:b]) == d]
+                k += 1
+            if not built:
+                return False
+        return True
 
-    else:
-        memo: dict[tuple[int, ...], set[tuple[int, ...]]] = {(): {()}}
+    def solved(prefix: tuple[int, ...], js: range) -> Iterator[int]:
+        # the j in js that make prefix + (j,) a pseudo-solution, guards checked in order
+        fixed_l = math.prod(sizes[prefix[u]] for u in lhs if u != last)
+        fixed_r = math.prod(sizes[prefix[u]] for u in rhs if u != last)
 
-        def side_language(cids: tuple[int, ...]) -> set[tuple[int, ...]]:
-            cached = memo.get(cids)
-            if cached is None:
-                cached = product_letters(side_language(cids[:-1]), langs[cids[-1]], limit)
-                memo[cids] = cached
-            return cached
+        def general(j: int) -> bool:
+            side_l = [j if u == last else prefix[u] for u in lhs]
+            side_r = [j if u == last else prefix[u] for u in rhs]
+            p_l, p_r = fixed_l * sizes[j] ** n_lhs, fixed_r * sizes[j] ** n_rhs
+            for p, side in ((p_l, side_l), (p_r, side_r)):
+                if p > limit and p > 1:
+                    raise _guard_error([sizes[c] for c in side], limit)
+            return decide(side_l, side_r) if p_l <= p_r else decide(side_r, side_l)
 
-    examined = 0
-    emitted = 0
-    for assignment in itertools.product(range(len(reps)), repeat=len(names)):
-        examined += 1
-        if budget is not None and examined > budget:
-            raise BudgetExceeded(f"assignment budget {budget} exceeded", examined - 1, emitted)
-        if not balanced and sum(lens[assignment[i]] for i in lhs_occ) != sum(
-            lens[assignment[i]] for i in rhs_occ
-        ):
-            continue
-        if singletons:
-            if side_word(lhs_key(assignment)) != side_word(rhs_key(assignment)):
-                continue
-        elif side_language(lhs_key(assignment)).isdisjoint(side_language(rhs_key(assignment))):
-            continue
-        emitted += 1
-        yield PseudoSolution(rel, {n: classes[assignment[i]] for i, n in enumerate(names)})
+        if fixed_l == fixed_r == 1:
+            fill_l, fill_r = _filler(segments(lhs, prefix)), _filler(segments(rhs, prefix))
+            return (
+                j for j in js
+                if (fill_l(words[j]) == fill_r(words[j]) if sizes[j] == 1 else general(j))
+            )
+        return filter(general, js)
+
+    def leaves(prefix: tuple[int, ...]) -> Iterator[PseudoSolution]:
+        nonlocal emitted
+        gap = sum(lens[prefix[u]] for u in rhs if u != last) - sum(
+            lens[prefix[u]] for u in lhs if u != last
+        )
+        # the shortlex range of the last unknown's representatives of balancing length
+        if n_lhs == n_rhs:
+            lo_len, hi_len = (0, max_len + 1) if gap == 0 else (max_len + 1, max_len + 1)
+        else:
+            length, rest = divmod(gap, n_lhs - n_rhs)
+            if rest or not 0 <= length <= max_len:
+                lo_len = hi_len = max_len + 1
+            else:
+                lo_len, hi_len = length, length + 1
+        lo = reps.shorter_than(lo_len, cap - examined)
+        skip(lo)
+        hi = reps.shorter_than(hi_len, lo + cap - examined)
+        for j in solved(prefix, range(lo, min(hi, lo + cap - examined))):
+            emitted += 1
+            yield PseudoSolution(rel, {n: class_of(i) for n, i in zip(names, prefix + (j,))})
+        skip(hi - lo)
+        skip(reps.shorter_than(max_len + 1, hi + cap - examined) - hi)
+
+    if not words:
+        return  # max_len < 0: no representatives
+    yield from leaves((0,) * last)
+    # the first prefix has counted every representative, so the list is complete
+    for prefix in itertools.islice(itertools.product(range(len(words)), repeat=last), 1, None):
+        yield from leaves(prefix)
 
 
 @dataclass(frozen=True)
@@ -476,10 +596,17 @@ def bounded_rank_certificate(
     attaining them in enumeration order.
     """
     identity = Identity(sigma)
+    # under the identity on sigma the pseudo phase would repeat the ordinary walk
+    reuse = rel == identity
+    ordinary = enumerate_pseudo_solutions(
+        e, rel if reuse else identity, max_len, budget=budget, limit=limit
+    )
+    if reuse:
+        ordinary = list(ordinary)
     ordinary_count = 0
     max_ordinary = -1
     ordinary_witness: Optional[Solution] = None
-    for psol in enumerate_pseudo_solutions(e, identity, max_len, budget=budget, limit=limit):
+    for psol in ordinary:
         sol = Solution({x: c.rep for x, c in psol.images.items()})
         ordinary_count += 1
         r = solution_rank(sol)
@@ -493,16 +620,15 @@ def bounded_rank_certificate(
     solutions: list[PseudoSolution] = []
     ranks: list[int] = []
     failures: list[str] = []
-    for psol in enumerate_pseudo_solutions(e, rel, max_len, budget=budget, limit=limit):
+    pseudo = (
+        ordinary if reuse else enumerate_pseudo_solutions(e, rel, max_len, budget=budget, limit=limit)
+    )
+    for psol in pseudo:
         pseudo_count += 1
         solutions.append(psol)
         try:
-            result = descend(e, psol, limit=limit)
-            pr = result.pseudo_rank()
-            if result.solution_rank() != pr:
-                failures.append(
-                    f"{psol!r}: solution rank {result.solution_rank()} != pseudo-rank {pr}"
-                )
+            # descend raises DescentFailed when the two ranks differ
+            pr = descend(e, psol, limit=limit).pseudo_rank()
         except WordEqError as exc:
             failures.append(f"{psol!r}: {exc}")
             pr = pseudo_free_hull(rel, psol.union_members()).pseudo_rank()

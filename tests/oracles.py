@@ -1,13 +1,25 @@
 """Independent brute-force oracles the library is checked against.
 
 Everything here enumerates exhaustively and stays deliberately naive:
-no dangling suffixes, no stability reductions, no memoized products.
+no dangling suffixes, no stability reductions, no pruned search. The one
+exception is brute_pseudo_solutions, the former library enumerator kept
+unchanged as the reference for the depth-first walk.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 
-from wordeq import Alphabet, MorphicPermutation, Word
+from wordeq import (
+    DEFAULT_PRODUCT_LIMIT,
+    Alphabet,
+    BudgetExceeded,
+    EqClass,
+    MorphicPermutation,
+    PseudoSolution,
+    Word,
+)
+from wordeq.words import product_letters
 
 
 def brute_factorizations(w: Word, basis: list[Word]) -> list[tuple[Word, ...]]:
@@ -91,3 +103,83 @@ def all_word_sets(alphabet: Alphabet, max_words: int, max_len: int):
     for size in range(1, max_words + 1):
         for combo in itertools.combinations(universe, size):
             yield frozenset(combo)
+
+
+def brute_representatives(rel, max_len: int) -> list[Word]:
+    """Shortlex list of the least member of every class, from all words up to max_len."""
+    out = []
+    for w in rel.alphabet.words_up_to(max_len):
+        if rel.class_letters(w.letters)[0] == w.letters:
+            out.append(w)
+    return out
+
+
+def brute_pseudo_solutions(e, rel, max_len, budget=None, limit=DEFAULT_PRODUCT_LIMIT):
+    """All valid pseudo-solutions, walking every assignment in itertools.product order.
+
+    Side languages are memoized per prefix of class indices; budget counts
+    every assignment, the ones pruned by side length included.
+    """
+    names = e.unknowns.symbols
+    reps = brute_representatives(rel, max_len)
+    classes = [EqClass(rel, w) for w in reps]
+    langs = [rel.class_letters(w.letters) for w in reps]
+    lens = [len(w) for w in reps]
+    name_pos = {n: i for i, n in enumerate(names)}
+    lhs_names, rhs_names = e.occurrence_names()
+    lhs_occ = [name_pos[n] for n in lhs_names]
+    rhs_occ = [name_pos[n] for n in rhs_names]
+    # equal occurrence multisets make the side lengths agree for every assignment
+    balanced = sorted(lhs_occ) == sorted(rhs_occ)
+
+    def occ_key(occ: list[int]):
+        if not occ:
+            return lambda a: ()
+        if len(occ) == 1:
+            i = occ[0]
+            return lambda a: (a[i],)
+        return operator.itemgetter(*occ)
+
+    lhs_key = occ_key(lhs_occ)
+    rhs_key = occ_key(rhs_occ)
+
+    singletons = all(len(members) == 1 for members in langs)
+    if singletons:
+        # identity-like relation: side products are single words
+        single = [members[0] for members in langs]
+        word_memo: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+
+        def side_word(cids: tuple[int, ...]) -> tuple[int, ...]:
+            cached = word_memo.get(cids)
+            if cached is None:
+                cached = side_word(cids[:-1]) + single[cids[-1]]
+                word_memo[cids] = cached
+            return cached
+
+    else:
+        memo: dict[tuple[int, ...], set[tuple[int, ...]]] = {(): {()}}
+
+        def side_language(cids: tuple[int, ...]) -> set[tuple[int, ...]]:
+            cached = memo.get(cids)
+            if cached is None:
+                cached = product_letters(side_language(cids[:-1]), langs[cids[-1]], limit)
+                memo[cids] = cached
+            return cached
+
+    examined = 0
+    emitted = 0
+    for assignment in itertools.product(range(len(reps)), repeat=len(names)):
+        examined += 1
+        if budget is not None and examined > budget:
+            raise BudgetExceeded(f"assignment budget {budget} exceeded", examined - 1, emitted)
+        if not balanced and sum(lens[assignment[i]] for i in lhs_occ) != sum(
+            lens[assignment[i]] for i in rhs_occ
+        ):
+            continue
+        if singletons:
+            if side_word(lhs_key(assignment)) != side_word(rhs_key(assignment)):
+                continue
+        elif side_language(lhs_key(assignment)).isdisjoint(side_language(rhs_key(assignment))):
+            continue
+        emitted += 1
+        yield PseudoSolution(rel, {n: classes[assignment[i]] for i, n in enumerate(names)})

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from wordeq.cli import (
     parse_config,
     run_command,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TABLE_CFG = """\
 # three-unknown instance over the cut-closed table relation
@@ -193,6 +199,29 @@ class TestSearch:
         data = json.loads(out)
         assert data["budget_exhausted"] is True
         assert data["assignments_examined"] == 10
+
+    def test_budget_stops_before_representatives_are_built(self, tmp_path):
+        # 3^41 words lie below length 41; the walk generates only those it examines
+        cfg = write(tmp_path, "alphabet: a b c\nequation: x y = y x\nmax_len: 40\n")
+        code, out, _ = run(["search", "--config", cfg, "--machine", "--budget", "1"])
+        assert code == EXIT_BUDGET
+        data = json.loads(out)
+        assert (data["assignments_examined"], data["solutions_found_before_exhaustion"]) == (1, 1)
+
+    def test_colliding_class_names_end_in_a_report(self, tmp_path):
+        # a, b·c and a·b, c join to the same class name [a·b·c]
+        cfg = write(
+            tmp_path, "alphabet: a b·c a·b c\nequation: x y z = z y x\nmax_len: 2\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordeq.cli", "search", "--config", cfg, "--machine"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode in (EXIT_PASS, EXIT_FAIL), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["descent_property"] == "pass"
 
     def test_max_len_override(self, tmp_path):
         cfg = write(tmp_path, COMMUTE_CFG.format(x="a", y="b"))

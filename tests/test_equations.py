@@ -256,6 +256,27 @@ class TestDescend:
         assert result.solution_rank() == 0
 
 
+class TestClassNames:
+    def test_colliding_names_get_basis_index(self):
+        # [a b·c] and [a·b c] both print as a·b·c
+        sigma = Alphabet(["a", "b·c", "a·b", "c"])
+        e = parse_equation("x y = x y")
+        rel = Identity(sigma)
+        p = PseudoSolution(
+            rel, {x: EqClass(rel, sigma.word(t)) for x, t in (("x", "a b·c"), ("y", "a·b c"))}
+        )
+        result = descend(e, p)
+        assert result.class_alphabet.symbols == ("[a·b·c]#0", "[a·b·c]#1")
+        assert result.solution_rank() == result.pseudo_rank() == 2
+
+    def test_distinct_names_unchanged(self):
+        sigma = Alphabet(["a", "b·c", "c"])
+        rel = Identity(sigma)
+        p = PseudoSolution(rel, {"x": EqClass(rel, sigma.word("a b·c")), "y": EqClass(rel, sigma.word("c"))})
+        result = descend(parse_equation("x y = x y"), p)
+        assert set(result.class_alphabet.symbols) == {"[a·b·c]", "[c]"}
+
+
 class TestEnumerate:
     def test_swap_commutation_all_rank_one(self):
         e = parse_equation("x y = y x")
