@@ -590,7 +590,8 @@ def bounded_rank_certificate(
     """Exhaustive bounded search for ordinary and pseudo rank lower bounds.
 
     Ordinary solutions are enumerated under the identity relation on
-    sigma; pseudo-solutions under rel. For every pseudo-solution found,
+    sigma; pseudo-solutions under rel, by the same walk when rel is that
+    identity. For every pseudo-solution found,
     the descent is run and its rank equality recorded. The maxima are
     lower bounds of the true ranks; the witnesses are the first solutions
     attaining them in enumeration order.

@@ -1,9 +1,9 @@
 """Independent brute-force oracles the library is checked against.
 
 Everything here enumerates exhaustively and stays deliberately naive:
-no dangling suffixes, no stability reductions, no pruned search. The one
-exception is brute_pseudo_solutions, the former library enumerator kept
-unchanged as the reference for the depth-first walk.
+no dangling suffixes, no stability reductions, no memoized products. The
+one exception is brute_pseudo_solutions, the library's former enumerator,
+kept unchanged, memo included, as the reference for the depth-first walk.
 """
 from __future__ import annotations
 

@@ -201,7 +201,7 @@ class TestSearch:
         assert data["assignments_examined"] == 10
 
     def test_budget_stops_before_representatives_are_built(self, tmp_path):
-        # 3^41 words lie below length 41; the walk generates only those it examines
+        # ~1.8e19 words have length <= 40; the walk generates only those it examines
         cfg = write(tmp_path, "alphabet: a b c\nequation: x y = y x\nmax_len: 40\n")
         code, out, _ = run(["search", "--config", cfg, "--machine", "--budget", "1"])
         assert code == EXIT_BUDGET
