@@ -17,15 +17,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .anticongruence import Anticongruence, EqClass, Identity
-from .freeness import rank
-from .pseudo import PseudoFreeBasis, class_factorization, pseudo_free_hull
+from .freeness import Basis, Letters, hull_letters, rank
+from .pseudo import NotInMonoid, PseudoFreeBasis, class_reps
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
+    AlphabetMismatch,
     FiniteLanguage,
     ProductLimitExceeded,
     Word,
     WordEqError,
+    least_factorization,
     product_letters,
 )
 
@@ -316,40 +318,79 @@ def _class_symbols(classes: Sequence[EqClass]) -> list[str]:
     return names
 
 
-def descend(
-    e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
-) -> DescentResult:
-    """Turn a valid pseudo-solution into an ordinary solution over class names.
+# hull_letters under an identity reads nothing but the letter tuples, so this
+# one relation ranks the class-index words of every descent
+_CLASS_INDEX_IDENTITY = Identity(Alphabet(("[·]",)))
 
-    Builds the pseudo-free hull of all image class members, factorizes each
-    image representative into basis classes, and reads those sequences as
-    words over the hull's class alphabet. The result is checked to solve
-    the equation and to have rank equal to the number of hull classes.
-    """
+
+def _hull_basis(psol: PseudoSolution) -> tuple[Letters, ...]:
+    """hull_letters of all class members of all images (PseudoSolution.union_members)."""
+    rel = psol.rel
+    members: set[Letters] = set()
+    for c in psol.images.values():
+        if c.rep.alphabet is not rel.alphabet and c.rep.alphabet != rel.alphabet:
+            raise AlphabetMismatch("word from a different alphabet than the relation")
+        members.update(rel.class_letters(c.rep.letters))
+    members.discard(())
+    return hull_letters(rel, frozenset(members))
+
+
+def _descent(
+    e: Equation, psol: PseudoSolution, limit: int
+) -> tuple[set[Letters], tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
+    """descend on letter tuples: the words both sides share, the hull basis,
+    its class representatives and each unknown's image as class indices."""
     common = _side_letters(e.lhs, e.unknowns, psol, limit) & _side_letters(
         e.rhs, e.unknowns, psol, limit
     )
     if not common:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
-    hull = pseudo_free_hull(psol.rel, psol.union_members())
+    rel = psol.rel
+    basis = _hull_basis(psol)
+    reps = class_reps(rel, basis)
+    rep_index = {r: i for i, r in enumerate(reps)}
+    class_index = {b: rep_index[rel.class_letters(b)[0]] for b in basis}
+    syms = e.unknowns.symbols
+    images = {}
+    for name in syms:
+        if name not in psol.images:
+            raise MissingImage(f"no image for unknown {name}")
+        rep = psol.images[name].rep
+        factors = least_factorization(rep.letters, basis)
+        if factors is None:
+            words = Basis(tuple(Word(rel.alphabet, b) for b in basis))
+            raise NotInMonoid(f"{rep} is not in the monoid of {words}")
+        images[name] = tuple(class_index[b] for b in factors)
+    lhs = sum((images[syms[i]] for i in e.lhs.letters), ())
+    rhs = sum((images[syms[i]] for i in e.rhs.letters), ())
+    if lhs != rhs:
+        raise DescentFailed(f"descended morphism does not solve {e}")
+    r = len(hull_letters(_CLASS_INDEX_IDENTITY, frozenset(w for w in images.values() if w)))
+    if r != len(reps):
+        raise DescentFailed(f"descended rank {r} differs from pseudo-rank {len(reps)}")
+    return common, basis, reps, images
+
+
+def descend(
+    e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
+) -> DescentResult:
+    """Turn a valid pseudo-solution into an ordinary solution over class names.
+
+    Takes the pseudo-free hull of all image class members, factorizes each
+    image representative over its basis (one walk, the basis is a code),
+    and reads the factors' classes as letters of the hull's class
+    alphabet. Raises InvalidPseudoSolution for disjoint sides, and
+    DescentFailed unless the result solves the equation and its rank
+    equals the number of hull classes. The work runs on letter tuples;
+    Word, EqClass and Alphabet objects are built only for the result.
+    """
+    common, basis, reps, images = _descent(e, psol, limit)
+    hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
     else:
         class_alphabet = Alphabet(("[·]",))  # all images ε; one unused symbol
-    index = {c: i for i, c in enumerate(hull.classes)}
-    images = {}
-    for name in e.unknowns.symbols:
-        if name not in psol.images:
-            raise MissingImage(f"no image for unknown {name}")
-        cw = class_factorization(hull, psol.images[name].rep)
-        images[name] = Word(class_alphabet, tuple(index[c] for c in cw))
-    alpha = Solution(images)
-    if not check_solution(e, alpha):
-        raise DescentFailed(f"descended morphism does not solve {e}")
-    if solution_rank(alpha) != len(hull.classes):
-        raise DescentFailed(
-            f"descended rank {solution_rank(alpha)} differs from pseudo-rank {len(hull.classes)}"
-        )
+    alpha = Solution({x: Word(class_alphabet, w) for x, w in images.items()})
     return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
 
 
@@ -591,9 +632,10 @@ def bounded_rank_certificate(
 
     Ordinary solutions are enumerated under the identity relation on
     sigma; pseudo-solutions under rel, by the same walk when rel is that
-    identity. For every pseudo-solution found,
-    the descent is run and its rank equality recorded. The maxima are
-    lower bounds of the true ranks; the witnesses are the first solutions
+    identity. For every pseudo-solution found, the descent is run on
+    letter tuples (descend without its result objects) and a failure is
+    recorded with the pseudo-rank read off the hull. The maxima are lower
+    bounds of the true ranks; the witnesses are the first solutions
     attaining them in enumeration order.
     """
     identity = Identity(sigma)
@@ -608,12 +650,13 @@ def bounded_rank_certificate(
     max_ordinary = -1
     ordinary_witness: Optional[Solution] = None
     for psol in ordinary:
-        sol = Solution({x: c.rep for x, c in psol.images.items()})
         ordinary_count += 1
-        r = solution_rank(sol)
+        # solution_rank of the representatives, on their letter tuples
+        reps = frozenset(c.rep.letters for c in psol.images.values() if c.rep)
+        r = len(hull_letters(identity, reps))
         if r > max_ordinary:
             max_ordinary = r
-            ordinary_witness = sol
+            ordinary_witness = Solution({x: c.rep for x, c in psol.images.items()})
 
     pseudo_count = 0
     max_pseudo = -1
@@ -628,11 +671,11 @@ def bounded_rank_certificate(
         pseudo_count += 1
         solutions.append(psol)
         try:
-            # descend raises DescentFailed when the two ranks differ
-            pr = descend(e, psol, limit=limit).pseudo_rank()
+            # _descent raises DescentFailed when the two ranks differ
+            pr = len(_descent(e, psol, limit)[2])
         except WordEqError as exc:
             failures.append(f"{psol!r}: {exc}")
-            pr = pseudo_free_hull(rel, psol.union_members()).pseudo_rank()
+            pr = len(class_reps(rel, _hull_basis(psol)))
         ranks.append(pr)
         if pr > max_pseudo:
             max_pseudo = pr

@@ -16,9 +16,24 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .anticongruence import Anticongruence, Identity
-from .words import EnumerationGuardExceeded, Word, is_in_monoid, letters_over, reachable_suffixes
+from .words import (
+    EnumerationGuardExceeded,
+    Word,
+    WordEqError,
+    is_in_monoid,
+    letters_over,
+    reachable_suffixes,
+)
 
 Letters = tuple[int, ...]
+
+
+class NotClassClosed(WordEqError):
+    """The hull fixpoint ended on a basis that is not a union of classes.
+
+    A relation that is not cut-closed, such as a FiniteTable built
+    directly instead of through close_pairs, can cause this.
+    """
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,8 @@ def hull_letters(rel: Anticongruence, words: frozenset[Letters]) -> tuple[Letter
     While the class-closed minimal generators are not a code, the overhang
     z of the witness's first factors (shorter·z = longer) lies in every
     free monoid containing them and is adjoined. No forced word is longer
-    than the longest input, so the loop converges.
+    than the longest input, so the loop converges. Raises NotClassClosed
+    when the final basis misses a class member of one of its words.
     """
     forced = set(words)
     while True:
@@ -157,7 +173,7 @@ def hull_letters(rel: Anticongruence, words: frozenset[Letters]) -> tuple[Letter
     members = set(basis)
     for b in basis:
         if not members.issuperset(rel.class_letters(b)):
-            raise AssertionError(f"basis not class-closed at {b}")
+            raise NotClassClosed(f"basis not class-closed at {b}")
     return tuple(basis)
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .anticongruence import Anticongruence, EqClass
-from .freeness import Basis, hull_letters
+from .freeness import Basis, Letters, hull_letters
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     FiniteLanguage,
     Word,
     WordEqError,
-    factorizations,
+    least_factorization,
     letters_over,
     product,
 )
@@ -75,6 +75,18 @@ class PseudoFreeBasis:
     basis_words: Basis
     classes: tuple[EqClass, ...]
 
+    @classmethod
+    def of_letters(
+        cls, rel: Anticongruence, basis: Iterable[Letters], reps: Iterable[Letters]
+    ) -> PseudoFreeBasis:
+        """The basis from its letter tuples and its class representatives (class_reps)."""
+        alphabet = rel.alphabet
+        return cls(
+            rel,
+            Basis(tuple(Word(alphabet, b) for b in basis)),
+            tuple(EqClass(rel, Word(alphabet, r)) for r in reps),
+        )
+
     def pseudo_rank(self) -> int:
         return len(self.classes)
 
@@ -102,15 +114,15 @@ def pseudo_free_hull(rel: Anticongruence, words: Iterable[Word]) -> PseudoFreeBa
 
     The basis comes from freeness.hull_letters, which free_hull also runs.
     """
-    alphabet, letters = letters_over(words, rel.alphabet)
+    _, letters = letters_over(words, rel.alphabet)
     letters.discard(())
     basis = hull_letters(rel, frozenset(letters))
-    reps = sorted({rel.class_letters(b)[0] for b in basis}, key=lambda t: (len(t), t))
-    return PseudoFreeBasis(
-        rel,
-        Basis(tuple(Word(alphabet, b) for b in basis)),
-        tuple(EqClass(rel, Word(alphabet, r)) for r in reps),
-    )
+    return PseudoFreeBasis.of_letters(rel, basis, class_reps(rel, basis))
+
+
+def class_reps(rel: Anticongruence, words: Iterable[Letters]) -> list[Letters]:
+    """The least member of each class the words fall into, in shortlex order."""
+    return sorted({rel.class_letters(w)[0] for w in words}, key=lambda t: (len(t), t))
 
 
 def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
@@ -121,10 +133,13 @@ def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
     """
     if not w.letters:
         return ClassWord(())
-    facts = factorizations(w, pfb.basis_words.words)
-    if not facts:
+    basis = sorted({b.letters for b in pfb.basis_words})
+    if () in basis:
+        raise ValueError("empty word not allowed in a factorization basis")
+    factors = least_factorization(w.letters, basis)
+    if factors is None:
         raise NotInMonoid(f"{w} is not in the monoid of {pfb.basis_words}")
-    return ClassWord(tuple(EqClass.of(pfb.rel, b) for b in facts[0]))
+    return ClassWord(tuple(EqClass.of(pfb.rel, Word(w.alphabet, b)) for b in factors))
 
 
 def factorization_is_morphism(pfb: PseudoFreeBasis, u: Word, v: Word) -> bool:

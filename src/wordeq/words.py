@@ -238,6 +238,29 @@ def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]
     return reach
 
 
+def least_factorization(
+    target: tuple[int, ...], basis: Sequence[tuple[int, ...]]
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The factorization of target that comes first by factor index into the
+    sorted basis (nonempty tuples), or None outside the monoid.
+
+    Only reachable positions are entered, so the walk never backtracks; over
+    a code it finds the only factorization.
+    """
+    reach = reachable_suffixes(target, basis)
+    if not reach[0]:
+        return None
+    n, pos, out = len(target), 0, []
+    while pos < n:
+        for b in basis:
+            j = pos + len(b)
+            if j <= n and reach[j] and target[pos:j] == b:
+                out.append(b)
+                pos = j
+                break
+    return tuple(out)
+
+
 def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
     """All ways to write w as a product of basis words.
 

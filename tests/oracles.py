@@ -2,23 +2,41 @@
 
 Everything here enumerates exhaustively and stays deliberately naive:
 no dangling suffixes, no stability reductions, no memoized products. The
-one exception is brute_pseudo_solutions, the library's former enumerator,
-kept unchanged, memo included, as the reference for the depth-first walk.
+exceptions are former library code kept unchanged as references:
+brute_pseudo_solutions (the enumerator, memo included) for the
+depth-first walk, and brute_descend with brute_certificate (the descent
+on Word objects) for the letter-level descent.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+from typing import Optional
 
 from wordeq import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     BudgetExceeded,
+    ClassWord,
+    DescentFailed,
+    DescentResult,
     EqClass,
+    Identity,
+    InvalidPseudoSolution,
+    MissingImage,
     MorphicPermutation,
+    NotInMonoid,
     PseudoSolution,
+    RankCertificate,
+    Solution,
     Word,
+    WordEqError,
+    check_solution,
+    factorizations,
+    pseudo_free_hull,
+    solution_rank,
 )
+from wordeq.equations import _class_symbols, _side_letters
 from wordeq.words import product_letters
 
 
@@ -183,3 +201,88 @@ def brute_pseudo_solutions(e, rel, max_len, budget=None, limit=DEFAULT_PRODUCT_L
             continue
         emitted += 1
         yield PseudoSolution(rel, {n: classes[assignment[i]] for i, n in enumerate(names)})
+
+
+def brute_class_factorization(pfb, w: Word) -> ClassWord:
+    """The first of all factorizations of w over the basis, mapped to classes."""
+    if not w.letters:
+        return ClassWord(())
+    facts = factorizations(w, pfb.basis_words.words)
+    if not facts:
+        raise NotInMonoid(f"{w} is not in the monoid of {pfb.basis_words}")
+    return ClassWord(tuple(EqClass.of(pfb.rel, b) for b in facts[0]))
+
+
+def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
+    """The library's former descend, on Word objects: hull of the union members,
+    brute_class_factorization of each image, a fresh class alphabet, and the
+    solution and rank checks through check_solution and solution_rank."""
+    common = _side_letters(e.lhs, e.unknowns, psol, limit) & _side_letters(
+        e.rhs, e.unknowns, psol, limit
+    )
+    if not common:
+        raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
+    hull = pseudo_free_hull(psol.rel, psol.union_members())
+    if hull.classes:
+        class_alphabet = Alphabet(_class_symbols(hull.classes))
+    else:
+        class_alphabet = Alphabet(("[·]",))  # all images ε; one unused symbol
+    index = {c: i for i, c in enumerate(hull.classes)}
+    images = {}
+    for name in e.unknowns.symbols:
+        if name not in psol.images:
+            raise MissingImage(f"no image for unknown {name}")
+        cw = brute_class_factorization(hull, psol.images[name].rep)
+        images[name] = Word(class_alphabet, tuple(index[c] for c in cw))
+    alpha = Solution(images)
+    if not check_solution(e, alpha):
+        raise DescentFailed(f"descended morphism does not solve {e}")
+    if solution_rank(alpha) != len(hull.classes):
+        raise DescentFailed(
+            f"descended rank {solution_rank(alpha)} differs from pseudo-rank {len(hull.classes)}"
+        )
+    return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
+
+
+def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT) -> RankCertificate:
+    """The library's former bounded_rank_certificate over brute_pseudo_solutions,
+    ranking each ordinary solution with solution_rank and descending each
+    pseudo-solution with brute_descend."""
+    ordinary_count = 0
+    max_ordinary = -1
+    ordinary_witness: Optional[Solution] = None
+    for psol in brute_pseudo_solutions(e, Identity(sigma), max_len, limit=limit):
+        sol = Solution({x: c.rep for x, c in psol.images.items()})
+        ordinary_count += 1
+        r = solution_rank(sol)
+        if r > max_ordinary:
+            max_ordinary = r
+            ordinary_witness = sol
+
+    max_pseudo = -1
+    pseudo_witness = None
+    solutions, ranks, failures = [], [], []
+    for psol in brute_pseudo_solutions(e, rel, max_len, limit=limit):
+        solutions.append(psol)
+        try:
+            pr = brute_descend(e, psol, limit=limit).pseudo_rank()
+        except WordEqError as exc:
+            failures.append(f"{psol!r}: {exc}")
+            pr = pseudo_free_hull(rel, psol.union_members()).pseudo_rank()
+        ranks.append(pr)
+        if pr > max_pseudo:
+            max_pseudo = pr
+            pseudo_witness = psol
+
+    return RankCertificate(
+        max_len=max_len,
+        ordinary_count=ordinary_count,
+        max_ordinary_rank=max(max_ordinary, 0),
+        ordinary_witness=ordinary_witness,
+        pseudo_count=len(solutions),
+        max_pseudo_rank=max(max_pseudo, 0),
+        pseudo_witness=pseudo_witness,
+        pseudo_solutions=tuple(solutions),
+        pseudo_ranks=tuple(ranks),
+        descent_failures=tuple(failures),
+    )

@@ -1,0 +1,143 @@
+"""Differential sweep of the letter-level descent against the Word-level oracle.
+
+On every pseudo-solution the enumerator emits, descend must build the
+same result as brute_descend, the library's former descent on Word
+objects, and bounded_rank_certificate must equal brute_certificate on
+every field, descent failures included.
+"""
+import dataclasses
+
+import pytest
+
+from oracles import brute_certificate, brute_descend, brute_pseudo_solutions
+from test_enumerate import INSTANCES
+from wordeq import (
+    Alphabet,
+    AlphabetMismatch,
+    DescentFailed,
+    EqClass,
+    Equation,
+    FiniteTable,
+    Identity,
+    InvalidPseudoSolution,
+    MissingImage,
+    MorphicPermutation,
+    NotClassClosed,
+    PseudoSolution,
+    RankCertificate,
+    Word,
+    WordEqError,
+    bounded_rank_certificate,
+    descend,
+    enumerate_pseudo_solutions,
+    parse_equation,
+)
+
+AB = Alphabet("ab")
+# ab~ba without a~b: not cut-closed, so some pseudo-solutions fail to descend
+NOT_CUT_CLOSED = FiniteTable(AB, [((0, 1), (1, 0))])
+
+
+def view(descend_, e, psol):
+    """What a caller sees of a descent: the result's parts, or the error and its message."""
+    try:
+        r = descend_(e, psol)
+    except WordEqError as exc:
+        return type(exc), str(exc)
+    return repr(r.solution), r.class_alphabet.symbols, r.hull.basis_words, r.hull.classes, r.common
+
+
+def assert_same_certificate(cert, expect):
+    for f in dataclasses.fields(RankCertificate):
+        assert getattr(cert, f.name) == getattr(expect, f.name), f.name
+
+
+@pytest.mark.parametrize("name,e,rel,max_len", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_descend_and_certificate_match_oracle(name, e, rel, max_len):
+    for psol in enumerate_pseudo_solutions(e, rel, max_len):
+        assert view(descend, e, psol) == view(brute_descend, e, psol), repr(psol)
+    cert = bounded_rank_certificate(e, rel.alphabet, rel, max_len)
+    assert_same_certificate(cert, brute_certificate(e, rel.alphabet, rel, max_len))
+
+
+def test_sweep_descends_nontrivial_hulls():
+    ranks = set()
+    for _, e, rel, max_len in INSTANCES:
+        if rel.kind != "identity":
+            ranks.update(bounded_rank_certificate(e, rel.alphabet, rel, max_len).pseudo_ranks)
+    assert {0, 1, 2} <= ranks
+
+
+@pytest.mark.parametrize("text,count", [("x y = y x", 8), ("x y z = z y x", 68)])
+def test_descent_failures_match_oracle(text, count):
+    e = parse_equation(text)
+    cert = bounded_rank_certificate(e, AB, NOT_CUT_CLOSED, 3)
+    assert_same_certificate(cert, brute_certificate(e, AB, NOT_CUT_CLOSED, 3))
+    assert len(cert.descent_failures) == count
+    for psol in cert.pseudo_solutions:
+        assert view(descend, e, psol) == view(brute_descend, e, psol), repr(psol)
+
+
+def test_first_descent_failure():
+    e = parse_equation("x y = y x")
+    cert = bounded_rank_certificate(e, AB, NOT_CUT_CLOSED, 3)
+    assert cert.descent_failures[0] == (
+        "PseudoSolution(x->[a], y->[ab]): descended morphism does not solve x y = y x"
+    )
+    with pytest.raises(DescentFailed, match="^descended morphism does not solve x y = y x$"):
+        descend(e, psol(NOT_CUT_CLOSED, x="a", y="ab"))
+
+
+def test_rank_failures_match_oracle():
+    # aa~ba and ba~bb but not aa~bb: no equivalence, and the one instance
+    # found where a descended solution solves but has the wrong rank
+    rel = FiniteTable(AB, [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 0, 1), (0, 0, 0))])
+    e = parse_equation("x y = y x")
+    views = [view(descend, e, p) for p in brute_pseudo_solutions(e, rel, 3)]
+    assert views == [view(brute_descend, e, p) for p in brute_pseudo_solutions(e, rel, 3)]
+    errors = [v for v in views if isinstance(v[0], type)]
+    assert errors.count((DescentFailed, "descended rank 1 differs from pseudo-rank 2")) == 5
+    assert [v[0] for v in errors].count(NotClassClosed) == 4
+
+
+def test_hull_that_cannot_close_ends_the_certificate():
+    # aa~bb without a~b: the hull of the first pseudo-solution with a class
+    # {aa, bb} cannot be class-closed, so no pseudo-rank exists for it
+    rel = FiniteTable(AB, [((0, 0), (1, 1))])
+    with pytest.raises(NotClassClosed):
+        bounded_rank_certificate(parse_equation("x y = y x"), AB, rel, 3)
+
+
+def psol(rel, **reps):
+    return PseudoSolution(rel, {x: EqClass.of(rel, rel.alphabet.word(w)) for x, w in reps.items()})
+
+
+class TestErrors:
+    # each error keeps the oracle's type and message
+    swap = MorphicPermutation.from_cycles(AB, "(a b)")
+
+    def same(self, error, e, p):
+        got = view(descend, e, p)
+        assert got == view(brute_descend, e, p)
+        assert got[0] is error
+        return got[1]
+
+    def test_disjoint_sides(self):
+        e = parse_equation("x y = y x")
+        message = self.same(InvalidPseudoSolution, e, psol(Identity(AB), x="ab", y="a"))
+        assert message == "side languages are disjoint for PseudoSolution(x->[ab], y->[a])"
+
+    def test_missing_image_on_a_side(self):
+        e = parse_equation("x y = y x")
+        assert self.same(MissingImage, e, psol(self.swap, x="a")) == "no image for unknown y"
+
+    def test_missing_image_of_an_unknown_on_no_side(self):
+        xyz = Alphabet("xyz")
+        e = Equation(xyz, xyz.word("xy"), xyz.word("yx"))
+        assert self.same(MissingImage, e, psol(self.swap, x="a", y="b")) == "no image for unknown z"
+
+    def test_image_over_another_alphabet(self):
+        e = parse_equation("x y = y x")
+        foreign = EqClass(self.swap, Word(Alphabet("cd"), (0,)))
+        p = PseudoSolution(self.swap, {"x": foreign, "y": EqClass.of(self.swap, AB.word("a"))})
+        self.same(AlphabetMismatch, e, p)

@@ -4,13 +4,19 @@ from wordeq import (
     Alphabet,
     AlphabetMismatch,
     EnumerationGuardExceeded,
+    FiniteTable,
+    NotClassClosed,
+    WordEqError,
+    factorizations,
     free_hull,
     hull_oracle,
     is_code,
     is_in_monoid,
     minimal_generators,
+    pseudo_free_hull,
     rank,
 )
+from wordeq.words import least_factorization
 
 from oracles import all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
 
@@ -187,3 +193,26 @@ def test_minimal_generators_against_brute_factorizations():
     for xs in all_word_sets(AB, 3, 4):
         expect = {w for w in xs if not brute_factorizations(w, sorted(xs - {w}))}
         assert minimal_generators(xs) == expect, sorted(map(str, xs))
+
+
+def test_least_factorization_is_first_factorization():
+    # one walk over reachable positions against the full enumeration, for
+    # every binary word up to length four over the free hulls of all 4525
+    # binary sets (codes) and over the sets themselves (codes or not)
+    targets = list(AB.words_up_to(4))
+    for xs in all_word_sets(AB, 3, 4):
+        for basis in (free_hull(xs).words, tuple(xs)):
+            letters = sorted(b.letters for b in basis)
+            for w in targets:
+                facts = factorizations(w, basis)
+                expect = tuple(b.letters for b in facts[0]) if facts else None
+                assert least_factorization(w.letters, letters) == expect, (str(w), letters)
+
+
+def test_hull_that_is_not_class_closed_raises_library_error():
+    # aa~bb without a~b is not cut-closed; the hull of {a, aa} ends on the
+    # code {a, bb}, whose word bb has aa = a·a in its class
+    rel = FiniteTable(AB, [((0, 0), (1, 1))])
+    with pytest.raises(NotClassClosed, match="basis not class-closed"):
+        pseudo_free_hull(rel, words(AB, "a", "aa"))
+    assert issubclass(NotClassClosed, WordEqError)

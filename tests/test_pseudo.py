@@ -111,6 +111,11 @@ class TestPseudoFreeHull:
         assert strs(hull.basis_words) == ["a", "bc"]
         assert [str(c) for c in hull.classes] == ["[a]", "[bc]"]
 
+    def test_classes_in_shortlex_order(self):
+        hull = pseudo_free_hull(swap_ab(), [AB.word(t) for t in ("aab", "ab")])
+        assert strs(hull.basis_words) == ["aab", "ab", "ba", "bba"]
+        assert [str(c) for c in hull.classes] == ["[ab]", "[aab]"]
+
     def test_basis_is_class_closed_code(self):
         rels = [swap_ab(), three_letter_table(), Identity(AB)]
         sample = [
