@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from wordeq import (
     FiniteLanguage,
     Identity,
     MorphicPermutation,
+    RawRelation,
     close_pairs,
     parse_relation,
     product,
@@ -206,6 +208,34 @@ class TestVerifyAxioms:
     def test_reversal_witness_is_deterministic(self):
         violation = verify_axioms(reversal_relation(ABC), 3)
         assert (str(violation.u), str(violation.v), violation.cut) == ("ab", "ba", 1)
+
+    @pytest.mark.parametrize(
+        "rel,expect",
+        [
+            (
+                RawRelation(AB, lambda u, v: {u.letters, v.letters} == {(0,), (0, 1)}),
+                ("length", "a", "ab", None, None),
+            ),
+            (
+                SimpleNamespace(alphabet=AB, equiv=lambda u, v: u == v and u.letters != (1,)),
+                ("reflexivity", "b", "b", None, None),
+            ),
+            (
+                RawRelation(AB, lambda u, v: (u.letters, v.letters) == ((0,), (1,))),
+                ("symmetry", "a", "b", None, None),
+            ),
+            (
+                # aa~ab and ab~bb, but not aa~bb
+                RawRelation(AB, lambda u, v: {u.letters, v.letters} in ({(0, 0), (0, 1)}, {(0, 1), (1, 1)})),
+                ("transitivity", "aa", "bb", None, "ab"),
+            ),
+            (reversal_relation(ABC), ("cut", "ab", "ba", 1, None)),
+        ],
+        ids=["length", "reflexivity", "symmetry", "transitivity", "cut"],
+    )
+    def test_first_violation_of_each_kind(self, rel, expect):
+        v = verify_axioms(rel, 3)
+        assert (v.kind, str(v.u), str(v.v), v.cut, v.via and str(v.via)) == expect
 
     def test_guard(self):
         with pytest.raises(EnumerationGuardExceeded):
