@@ -8,6 +8,8 @@ closed under cutting.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ DEFAULT_WORD_GUARD = 2_000
 
 
 class Anticongruence:
-    """Base interface: equivalence queries plus finite class materialization."""
+    """Base interface: a relation defines class_letters; equiv and class materialization read it."""
 
     kind = "abstract"
 
@@ -33,7 +35,8 @@ class Anticongruence:
         self.alphabet = alphabet
 
     def equiv(self, u: Word, v: Word) -> bool:
-        raise NotImplementedError
+        self._check(u, v)
+        return v.letters in self.class_letters(u.letters)
 
     def class_letters(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Sorted letter tuples of the full class of a word, as raw tuples."""
@@ -51,7 +54,7 @@ class Anticongruence:
 
     def _check(self, *words: Word) -> None:
         for w in words:
-            if w.alphabet != self.alphabet:
+            if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
                 raise AlphabetMismatch("word from a different alphabet than the relation")
 
     def describe(self) -> str:
@@ -70,10 +73,6 @@ class Identity(Anticongruence):
 
     def __hash__(self) -> int:
         return hash(self.alphabet)
-
-    def equiv(self, u: Word, v: Word) -> bool:
-        self._check(u, v)
-        return u.letters == v.letters
 
     def class_letters(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return (letters,)
@@ -141,12 +140,6 @@ class MorphicPermutation(Anticongruence):
         self._check(w)
         return Word(self.alphabet, self.apply_letters(w.letters))
 
-    def equiv(self, u: Word, v: Word) -> bool:
-        self._check(u, v)
-        if len(u) != len(v):
-            return False
-        return v.letters in self.class_letters(u.letters)
-
     def class_letters(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         cached = self._class_cache.get(letters)
         if cached is not None:
@@ -168,29 +161,45 @@ class MorphicPermutation(Anticongruence):
 
 
 class FiniteTable(Anticongruence):
-    """Anticongruence given by a finite, cut-closed table of nontrivial pairs.
+    """Smallest anticongruence containing finitely many length-matched pairs.
 
-    Outside the table, words are equivalent only to themselves. Use
-    close_pairs to build the smallest such relation from generator pairs.
+    Outside the closure of the pairs, words are equivalent only to
+    themselves. pairs holds every nontrivial pair of the closure.
     """
 
     kind = "table"
 
     def __init__(self, alphabet: Alphabet, pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]):
         super().__init__(alphabet)
-        self.pairs = frozenset(
-            (min(a, b), max(a, b)) for a, b in pairs if a != b
-        )
-        members: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-        for a, b in self.pairs:
-            members.setdefault(a, {a}).add(b)
-            members.setdefault(b, {b}).add(a)
-        self._members = {w: tuple(sorted(s)) for w, s in members.items()}
+        # An anticongruence relates the factors at equal positions of
+        # related words, and cutting a chain of such factor pairs cuts each
+        # link, so the closure is the equivalence these factor pairs span.
+        parent: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def equiv(self, u: Word, v: Word) -> bool:
-        self._check(u, v)
-        a, b = u.letters, v.letters
-        return a == b or (min(a, b), max(a, b)) in self.pairs
+        def find(x: tuple[int, ...]) -> tuple[int, ...]:
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in pairs:
+            if len(a) != len(b):
+                raise ValueError(f"length-mismatched pair ({Word(alphabet, a)}, {Word(alphabet, b)})")
+            for i in range(len(a)):
+                for j in range(i + 1, len(a) + 1):
+                    if a[i:j] != b[i:j]:
+                        parent[find(b[i:j])] = find(a[i:j])
+        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for x in parent:
+            classes.setdefault(find(x), []).append(x)
+        self._members: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        closed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        for group in classes.values():
+            members = tuple(sorted(group))
+            self._members.update(dict.fromkeys(members, members))
+            closed.update(itertools.combinations(members, 2))
+        self.pairs = frozenset(closed)
 
     def class_letters(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return self._members.get(letters, (letters,))
@@ -209,59 +218,13 @@ class FiniteTable(Anticongruence):
 
 
 def close_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> FiniteTable:
-    """Smallest anticongruence containing the given length-matched pairs.
-
-    Iterates symmetric-transitive closure per length stratum together with
-    cut-splitting (each pair contributes its prefix and suffix pairs at
-    every cut) until a fixpoint. All generated words are factors of input
-    words, so the closure is finite.
-    """
-    table: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    """FiniteTable of the given pairs of words, which must be over alphabet."""
+    letters = []
     for u, v in pairs:
         if u.alphabet != alphabet or v.alphabet != alphabet:
             raise AlphabetMismatch("pair over a different alphabet")
-        if len(u) != len(v):
-            raise ValueError(f"length-mismatched pair ({u}, {v})")
-        if u.letters != v.letters:
-            table.add((min(u.letters, v.letters), max(u.letters, v.letters)))
-
-    while True:
-        # splits at every cut, nontrivial pairs only
-        new = set()
-        for a, b in table:
-            for i in range(1, len(a)):
-                for pa, pb in ((a[:i], b[:i]), (a[i:], b[i:])):
-                    if pa != pb:
-                        new.add((min(pa, pb), max(pa, pb)))
-        new -= table
-
-        # transitive closure within each length stratum (union-find)
-        parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def find(x: tuple[int, ...]) -> tuple[int, ...]:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in table | new:
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for x in parent:
-            groups.setdefault(find(x), []).append(x)
-        closed = set()
-        for members in groups.values():
-            members.sort()
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    closed.add((a, b))
-        if closed == table:
-            return FiniteTable(alphabet, table)
-        table = closed
+        letters.append((u.letters, v.letters))
+    return FiniteTable(alphabet, letters)
 
 
 @dataclass(frozen=True)
@@ -370,36 +333,38 @@ def verify_axioms(
             f"{total} words up to length {max_len} exceed the guard of {word_guard}"
         )
 
-    strata = [list(alphabet.words_of_length(n)) for n in range(max_len + 1)]
+    words = list(alphabet.words_up_to(max_len))
+    # rel.equiv is asked once per ordered pair; every check reads this map
+    related = {u.letters: [v.letters for v in words if rel.equiv(u, v)] for u in words}
+    word = functools.partial(Word, alphabet)
 
-    # length preservation across strata
-    all_words = [w for stratum in strata for w in stratum]
-    for u in all_words:
-        for v in all_words:
-            if len(u) != len(v) and rel.equiv(u, v):
-                return AxiomViolation("length", u, v)
+    for u in words:
+        for v in related[u.letters]:
+            if len(v) != len(u):
+                return AxiomViolation("length", u, word(v))
 
-    for stratum in strata:
-        classes = {w: frozenset(v for v in stratum if rel.equiv(w, v)) for w in stratum}
+    classes = {u: frozenset(vs) for u, vs in related.items()}
+    for _, stratum in itertools.groupby(related, len):
+        stratum = list(stratum)
         for u in stratum:
             if u not in classes[u]:
-                return AxiomViolation("reflexivity", u, u)
+                return AxiomViolation("reflexivity", word(u), word(u))
         for u in stratum:
-            for v in sorted(classes[u]):
+            for v in related[u]:
                 if u not in classes[v]:
-                    return AxiomViolation("symmetry", u, v)
+                    return AxiomViolation("symmetry", word(u), word(v))
         for u in stratum:
-            for v in sorted(classes[u]):
+            for v in related[u]:
                 if classes[v] != classes[u]:
                     w = min(classes[v].symmetric_difference(classes[u]))
-                    return AxiomViolation("transitivity", u, w, via=v)
+                    return AxiomViolation("transitivity", word(u), word(w), via=word(v))
         for u in stratum:
-            for v in sorted(classes[u]):
-                if v.letters <= u.letters:
+            for v in related[u]:
+                if v <= u:
                     continue
                 for i in range(1, len(u)):
-                    if not (rel.equiv(u[:i], v[:i]) and rel.equiv(u[i:], v[i:])):
-                        return AxiomViolation("cut", u, v, cut=i)
+                    if not (v[:i] in classes[u[:i]] and v[i:] in classes[u[i:]]):
+                        return AxiomViolation("cut", word(u), word(v), cut=i)
     return None
 
 

@@ -75,6 +75,17 @@ class JobConfig:
     product_guard: int = DEFAULT_PRODUCT_LIMIT
 
 
+def _parse_integer(key: str, text: str) -> int:
+    """The integer rule for config values and flags: -?[0-9]+, then the range
+    (max_len non-negative, budget and product_guard positive)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    value = int(text)
+    if value < 0 or (key != "max_len" and value == 0):
+        raise ValueError("must be non-negative" if key == "max_len" else "must be positive")
+    return value
+
+
 def parse_config(path: str) -> JobConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -116,13 +127,10 @@ def parse_config(path: str) -> JobConfig:
 
     for key in ("max_len", "budget", "product_guard"):
         if key in by_key:
-            text = by_key[key][1]
-            if not re.fullmatch(r"-?[0-9]+", text):
-                raise fail(key, ValueError(f"expected an integer, got {text!r}"))
-            value = int(text)
-            if value < 0 or (key != "max_len" and value == 0):
-                raise fail(key, ValueError("must be positive"))
-            setattr(cfg, key, value)
+            try:
+                setattr(cfg, key, _parse_integer(key, by_key[key][1]))
+            except ValueError as exc:
+                raise fail(key, exc) from exc
 
     if "rel" in by_key:
         if cfg.alphabet is None:
@@ -388,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a flat key: value config file")
-        p.add_argument("--max-len", type=int, default=None, help="override max_len")
-        p.add_argument("--budget", type=int, default=None, help="override budget")
+        p.add_argument("--max-len", default=None, help="override max_len")
+        p.add_argument("--budget", default=None, help="override budget")
         p.add_argument("--machine", action="store_true", help="emit one JSON object")
     return parser
 
@@ -397,19 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(
     command: str,
     config_path: str,
-    max_len: Optional[int] = None,
-    budget: Optional[int] = None,
+    max_len: Optional[int | str] = None,
+    budget: Optional[int | str] = None,
 ) -> Report:
-    """Parse the config, apply overrides, and run one command."""
+    """Parse the config, apply overrides, and run one command.
+
+    The overrides follow the config's integer rule, whether given as flag
+    text or as int.
+    """
     cfg = parse_config(config_path)
-    if max_len is not None:
-        if max_len < 0:
-            raise ConfigError(f"{config_path}: --max-len must be non-negative")
-        cfg.max_len = max_len
-    if budget is not None:
-        if budget <= 0:
-            raise ConfigError(f"{config_path}: --budget must be positive")
-        cfg.budget = budget
+    for key, override in (("max_len", max_len), ("budget", budget)):
+        if override is not None:
+            try:
+                setattr(cfg, key, _parse_integer(key, str(override)))
+            except ValueError as exc:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"{config_path}: bad {flag}: {exc}") from exc
     started = time.perf_counter()
     report = COMMANDS[command](cfg)
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0

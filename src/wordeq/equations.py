@@ -22,7 +22,6 @@ from .pseudo import NotInMonoid, PseudoFreeBasis, class_reps
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
-    AlphabetMismatch,
     FiniteLanguage,
     ProductLimitExceeded,
     Word,
@@ -328,8 +327,7 @@ def _hull_basis(psol: PseudoSolution) -> tuple[Letters, ...]:
     rel = psol.rel
     members: set[Letters] = set()
     for c in psol.images.values():
-        if c.rep.alphabet is not rel.alphabet and c.rep.alphabet != rel.alphabet:
-            raise AlphabetMismatch("word from a different alphabet than the relation")
+        rel._check(c.rep)
         members.update(rel.class_letters(c.rep.letters))
     members.discard(())
     return hull_letters(rel, frozenset(members))
@@ -434,13 +432,6 @@ class _Representatives:
         while (not self.words or self.lens[-1] < length) and len(self.words) <= cap and self._grow():
             pass
         return bisect.bisect_left(self.lens, length)
-
-
-def canonical_representatives(rel: Anticongruence, max_len: int) -> list[Word]:
-    """Shortlex list of the least member of every class with representatives up to max_len."""
-    reps = _Representatives(rel, max_len)
-    reps.shorter_than(max_len + 1, math.inf)
-    return [Word(rel.alphabet, w) for w in reps.words]
 
 
 def _filler(segments: list[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:

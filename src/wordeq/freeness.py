@@ -31,8 +31,8 @@ Letters = tuple[int, ...]
 class NotClassClosed(WordEqError):
     """The hull fixpoint ended on a basis that is not a union of classes.
 
-    A relation that is not cut-closed, such as a FiniteTable built
-    directly instead of through close_pairs, can cause this.
+    A relation that is not an anticongruence, such as an Anticongruence
+    subclass whose classes are not cut-closed, can cause this.
     """
 
 

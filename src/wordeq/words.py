@@ -5,6 +5,7 @@ declaration order fixes the lexicographic order used everywhere else.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -79,20 +80,8 @@ class Alphabet:
 
     def words_of_length(self, n: int) -> Iterator[Word]:
         """All words of length n in lexicographic order."""
-        k = len(self.symbols)
-        if n == 0:
-            yield Word(self, ())
-            return
-        letters = [0] * n
-        while True:
-            yield Word(self, tuple(letters))
-            i = n - 1
-            while i >= 0 and letters[i] == k - 1:
-                letters[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            letters[i] += 1
+        for letters in itertools.product(range(len(self.symbols)), repeat=n):
+            yield Word(self, letters)
 
     def words_up_to(self, max_len: int) -> Iterator[Word]:
         """All words of length 0..max_len in shortlex order."""

@@ -4,8 +4,11 @@ Everything here enumerates exhaustively and stays deliberately naive:
 no dangling suffixes, no stability reductions, no memoized products. The
 exceptions are former library code kept unchanged as references:
 brute_pseudo_solutions (the enumerator, memo included) for the
-depth-first walk, and brute_descend with brute_certificate (the descent
-on Word objects) for the letter-level descent.
+depth-first walk, brute_descend with brute_certificate (the descent
+on Word objects) for the letter-level descent, and brute_closed_pairs
+(the cut-and-transitive fixpoint) for the FiniteTable closure, and
+brute_verify_axioms for the one-pass axiom check.
+PairTable is a test double for relations that are not anticongruences.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from typing import Optional
 from wordeq import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
+    Anticongruence,
+    AxiomViolation,
     BudgetExceeded,
     ClassWord,
     DescentFailed,
@@ -113,6 +118,98 @@ def orbit_equiv(perm: MorphicPermutation, u: Word, v: Word) -> bool:
             return True
         cur = perm.apply(cur)
     return cur.letters == v.letters
+
+
+class PairTable(Anticongruence):
+    """Classes read off the given pairs, with no closure.
+
+    A test double for relations that are not anticongruences: a word's
+    class is the word and its partners in the pairs, so a pair list that
+    is not transitive or not cut-closed stays that way.
+    """
+
+    kind = "table"
+
+    def __init__(self, alphabet, pairs):
+        super().__init__(alphabet)
+        members: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        for a, b in pairs:
+            if a != b:
+                members.setdefault(a, {a}).add(b)
+                members.setdefault(b, {b}).add(a)
+        self._members = {w: tuple(sorted(s)) for w, s in members.items()}
+
+    def class_letters(self, letters):
+        return self._members.get(letters, (letters,))
+
+
+def brute_closed_pairs(pairs) -> frozenset:
+    """Nontrivial pairs of the smallest anticongruence containing the letter pairs.
+
+    The former close_pairs fixpoint: split every pair at every cut, close
+    each length stratum transitively, and repeat until nothing changes.
+    """
+    table = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    while True:
+        new = set()
+        for a, b in table:
+            for i in range(1, len(a)):
+                for pa, pb in ((a[:i], b[:i]), (a[i:], b[i:])):
+                    if pa != pb:
+                        new.add((min(pa, pb), max(pa, pb)))
+        parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in table | new:
+            parent.setdefault(a, a)
+            parent.setdefault(b, b)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for x in parent:
+            groups.setdefault(find(x), []).append(x)
+        closed = {p for g in groups.values() for p in itertools.combinations(sorted(g), 2)}
+        if closed == table:
+            return frozenset(table)
+        table = closed
+
+
+def brute_verify_axioms(rel, max_len):
+    """The former verify_axioms (guard left out): equiv on every pair and every piece, stratum by stratum."""
+    strata = [list(rel.alphabet.words_of_length(n)) for n in range(max_len + 1)]
+    all_words = [w for stratum in strata for w in stratum]
+    for u in all_words:
+        for v in all_words:
+            if len(u) != len(v) and rel.equiv(u, v):
+                return AxiomViolation("length", u, v)
+    for stratum in strata:
+        classes = {w: frozenset(v for v in stratum if rel.equiv(w, v)) for w in stratum}
+        for u in stratum:
+            if u not in classes[u]:
+                return AxiomViolation("reflexivity", u, u)
+        for u in stratum:
+            for v in sorted(classes[u]):
+                if u not in classes[v]:
+                    return AxiomViolation("symmetry", u, v)
+        for u in stratum:
+            for v in sorted(classes[u]):
+                if classes[v] != classes[u]:
+                    w = min(classes[v].symmetric_difference(classes[u]))
+                    return AxiomViolation("transitivity", u, w, via=v)
+        for u in stratum:
+            for v in sorted(classes[u]):
+                if v.letters <= u.letters:
+                    continue
+                for i in range(1, len(u)):
+                    if not (rel.equiv(u[:i], v[:i]) and rel.equiv(u[i:], v[i:])):
+                        return AxiomViolation("cut", u, v, cut=i)
+    return None
 
 
 def all_word_sets(alphabet: Alphabet, max_words: int, max_len: int):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ from wordeq import (
     EnumerationGuardExceeded,
     EqClass,
     FiniteLanguage,
+    FiniteTable,
     Identity,
     MorphicPermutation,
     RawRelation,
@@ -18,7 +20,7 @@ from wordeq import (
     verify_axioms,
 )
 
-from oracles import orbit_equiv
+from oracles import brute_closed_pairs, brute_verify_axioms, orbit_equiv
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -156,6 +158,14 @@ class TestClosePairs:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             close_pairs(AB, [(AB.word("a"), AB.word("ab"))])
+        with pytest.raises(ValueError):
+            FiniteTable(AB, [((0,), (0, 1))])
+
+    def test_table_is_closed_on_construction(self):
+        # bb~ba and bb~ab are not transitive and not cut-closed as given
+        rel = FiniteTable(AB, [((1, 1), (1, 0)), ((1, 1), (0, 1))])
+        assert verify_axioms(rel, 4) is None
+        assert rel.describe() == "table: a~b, ab~ba, ab~bb, ba~bb"
 
     def test_transitivity_closed(self):
         rel = close_pairs(
@@ -180,6 +190,7 @@ class TestClosePairs:
                 pairs.append((u, v))
             rel = close_pairs(alphabet, pairs)
             assert verify_axioms(rel, 4) is None
+            assert rel.pairs == brute_closed_pairs((u.letters, v.letters) for u, v in pairs)
             for u, v in pairs:
                 assert rel.equiv(u, v)
 
@@ -236,6 +247,34 @@ class TestVerifyAxioms:
     def test_first_violation_of_each_kind(self, rel, expect):
         v = verify_axioms(rel, 3)
         assert (v.kind, str(v.u), str(v.v), v.cut, v.via and str(v.via)) == expect
+
+    def test_one_pass_matches_former_check(self):
+        # seeded relations on binary words up to length 3: random sets of
+        # related pairs, across lengths on every third, symmetric on every
+        # second, and a few words not related to themselves
+        rng = random.Random(5)
+        words = list(AB.words_up_to(3))
+        kinds = set()
+        for i in range(300):
+            density = rng.choice([0.002, 0.01, 0.03])
+            pairs = {
+                (u.letters, v.letters)
+                for u in words
+                for v in words
+                if (len(u) == len(v) or i % 3 == 0) and rng.random() < density
+            }
+            if i % 2:
+                pairs |= {(b, a) for a, b in pairs}
+            unrelated = {w.letters for w in words if rng.random() < 0.02}
+
+            def equiv(u, v, pairs=pairs, unrelated=unrelated):
+                return (u.letters, v.letters) in pairs or (u == v and u.letters not in unrelated)
+
+            rel = SimpleNamespace(alphabet=AB, equiv=equiv)
+            got = verify_axioms(rel, 3)
+            assert got == brute_verify_axioms(rel, 3)
+            kinds.add(got and got.kind)
+        assert kinds == {None, "length", "reflexivity", "symmetry", "transitivity", "cut"}
 
     def test_guard(self):
         with pytest.raises(EnumerationGuardExceeded):

@@ -235,6 +235,21 @@ class TestSearch:
         assert code == EXIT_CONFIG
         assert "max_len" in err
 
+    @pytest.mark.parametrize("flag", ["--max-len", "--budget"])
+    @pytest.mark.parametrize("text", ["1_0", "+2", " 2", "٢", "2.0", "", "-1"])
+    def test_malformed_integer_flag_is_config_error(self, tmp_path, flag, text):
+        # the config's integer rule: 1_0 and ٢ would pass int()
+        cfg = write(tmp_path, COMMUTE_CFG.format(x="a", y="b"))
+        code, out, err = run(["search", "--config", cfg, "--machine", f"{flag}={text}"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"bad {flag}" in err
+
+    def test_zero_budget_flag_is_config_error(self, tmp_path):
+        cfg = write(tmp_path, COMMUTE_CFG.format(x="a", y="b"))
+        code, out, err = run(["search", "--config", cfg, "--budget", "0"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "bad --budget: must be positive" in err
+
     def test_identity_search_is_ordinary(self, tmp_path):
         cfg = write(
             tmp_path, "alphabet: a b\nrel: identity\nequation: x y = y x\nmax_len: 2\n"

@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from oracles import brute_certificate, brute_descend, brute_pseudo_solutions
+from oracles import PairTable, brute_certificate, brute_descend, brute_pseudo_solutions
 from test_enumerate import INSTANCES
 from wordeq import (
     Alphabet,
@@ -17,7 +17,6 @@ from wordeq import (
     DescentFailed,
     EqClass,
     Equation,
-    FiniteTable,
     Identity,
     InvalidPseudoSolution,
     MissingImage,
@@ -35,7 +34,7 @@ from wordeq import (
 
 AB = Alphabet("ab")
 # ab~ba without a~b: not cut-closed, so some pseudo-solutions fail to descend
-NOT_CUT_CLOSED = FiniteTable(AB, [((0, 1), (1, 0))])
+NOT_CUT_CLOSED = PairTable(AB, [((0, 1), (1, 0))])
 
 
 def view(descend_, e, psol):
@@ -91,7 +90,7 @@ def test_first_descent_failure():
 def test_rank_failures_match_oracle():
     # aa~ba and ba~bb but not aa~bb: no equivalence, and the one instance
     # found where a descended solution solves but has the wrong rank
-    rel = FiniteTable(AB, [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 0, 1), (0, 0, 0))])
+    rel = PairTable(AB, [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 0, 1), (0, 0, 0))])
     e = parse_equation("x y = y x")
     views = [view(descend, e, p) for p in brute_pseudo_solutions(e, rel, 3)]
     assert views == [view(brute_descend, e, p) for p in brute_pseudo_solutions(e, rel, 3)]
@@ -103,7 +102,7 @@ def test_rank_failures_match_oracle():
 def test_hull_that_cannot_close_ends_the_certificate():
     # aa~bb without a~b: the hull of the first pseudo-solution with a class
     # {aa, bb} cannot be class-closed, so no pseudo-rank exists for it
-    rel = FiniteTable(AB, [((0, 0), (1, 1))])
+    rel = PairTable(AB, [((0, 0), (1, 1))])
     with pytest.raises(NotClassClosed):
         bounded_rank_certificate(parse_equation("x y = y x"), AB, rel, 3)
 

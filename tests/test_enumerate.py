@@ -15,6 +15,7 @@ from oracles import brute_pseudo_solutions, brute_representatives
 from wordeq import (
     Alphabet,
     BudgetExceeded,
+    FiniteTable,
     Identity,
     MorphicPermutation,
     ProductLimitExceeded,
@@ -103,7 +104,11 @@ def seeded_instances(seed=20, count=8):
     return out
 
 
-INSTANCES = config_instances() + criterion_4_instances() + seeded_instances()
+# bb~ba and bb~ab as given are not transitive; the table is their closure
+CLOSED_TABLE = FiniteTable(AB, [((1, 1), (1, 0)), ((1, 1), (0, 1))])
+INSTANCES = config_instances() + criterion_4_instances() + seeded_instances() + [
+    ("x y = y x/closed bb~ba, bb~ab", parse_equation("x y = y x"), CLOSED_TABLE, 3),
+]
 
 
 def outcome(enumerate_, e, rel, max_len, **kwargs):

@@ -4,7 +4,6 @@ from wordeq import (
     Alphabet,
     AlphabetMismatch,
     EnumerationGuardExceeded,
-    FiniteTable,
     NotClassClosed,
     WordEqError,
     factorizations,
@@ -18,7 +17,7 @@ from wordeq import (
 )
 from wordeq.words import least_factorization
 
-from oracles import all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
+from oracles import PairTable, all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -212,7 +211,7 @@ def test_least_factorization_is_first_factorization():
 def test_hull_that_is_not_class_closed_raises_library_error():
     # aa~bb without a~b is not cut-closed; the hull of {a, aa} ends on the
     # code {a, bb}, whose word bb has aa = a·a in its class
-    rel = FiniteTable(AB, [((0, 0), (1, 1))])
+    rel = PairTable(AB, [((0, 0), (1, 1))])
     with pytest.raises(NotClassClosed, match="basis not class-closed"):
         pseudo_free_hull(rel, words(AB, "a", "aa"))
     assert issubclass(NotClassClosed, WordEqError)
