@@ -184,8 +184,9 @@ class FiniteTable(Anticongruence):
             return x
 
         for a, b in pairs:
+            u, v = Word(alphabet, a), Word(alphabet, b)  # rejects letters outside the alphabet
             if len(a) != len(b):
-                raise ValueError(f"length-mismatched pair ({Word(alphabet, a)}, {Word(alphabet, b)})")
+                raise ValueError(f"length-mismatched pair ({u}, {v})")
             for i in range(len(a)):
                 for j in range(i + 1, len(a) + 1):
                     if a[i:j] != b[i:j]:

@@ -128,8 +128,6 @@ class PairTable(Anticongruence):
     is not transitive or not cut-closed stays that way.
     """
 
-    kind = "table"
-
     def __init__(self, alphabet, pairs):
         super().__init__(alphabet)
         members: dict[tuple[int, ...], set[tuple[int, ...]]] = {}

@@ -161,6 +161,10 @@ class TestClosePairs:
         with pytest.raises(ValueError):
             FiniteTable(AB, [((0,), (0, 1))])
 
+    def test_letters_outside_the_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteTable(AB, [((2,), (0,))])
+
     def test_table_is_closed_on_construction(self):
         # bb~ba and bb~ab are not transitive and not cut-closed as given
         rel = FiniteTable(AB, [((1, 1), (1, 0)), ((1, 1), (0, 1))])
