@@ -278,7 +278,10 @@ class RawRelation:
         self.predicate = predicate
         self.name = name
 
+    _check = Anticongruence._check
+
     def equiv(self, u: Word, v: Word) -> bool:
+        self._check(u, v)
         return u.letters == v.letters or self.predicate(u, v)
 
     def describe(self) -> str:

@@ -5,8 +5,8 @@ config (key: value), takes --max-len/--budget overrides, and emits either
 a human-readable report or, with --machine, a single JSON object. Reports
 are byte-identical across runs of the same config; timing goes to stderr.
 
-Exit status: 0 pass/valid, 1 fail/invalid, 2 configuration errors,
-3 budget or guard exhaustion.
+Exit status: 0 pass/valid, 1 fail/invalid, 2 configuration errors and
+bad command lines, 3 budget or guard exhaustion.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import NoReturn, Optional, TextIO
 
 from .anticongruence import (
     Anticongruence,
@@ -303,18 +303,21 @@ def cmd_search(cfg: JobConfig) -> Report:
     _require(cfg, alphabet=True, equation=True, max_len=True)
     rel = _anticongruence(cfg)
     e = cfg.equation
+    head = {
+        "command": "search",
+        "alphabet": list(cfg.alphabet.symbols),
+        "relation": cfg.rel_text,
+        "equation": cfg.equation_text,
+        "max_len": cfg.max_len,
+        "budget": cfg.budget,
+    }
     try:
         cert = bounded_rank_certificate(
             e, cfg.alphabet, rel, cfg.max_len, budget=cfg.budget, limit=cfg.product_guard
         )
     except BudgetExceeded as exc:
         data = {
-            "command": "search",
-            "alphabet": list(cfg.alphabet.symbols),
-            "relation": cfg.rel_text,
-            "equation": cfg.equation_text,
-            "max_len": cfg.max_len,
-            "budget": cfg.budget,
+            **head,
             "budget_exhausted": True,
             "assignments_examined": exc.examined,
             "solutions_found_before_exhaustion": exc.emitted,
@@ -327,12 +330,7 @@ def cmd_search(cfg: JobConfig) -> Report:
         for psol, pr in zip(cert.pseudo_solutions, cert.pseudo_ranks)
     ]
     data = {
-        "command": "search",
-        "alphabet": list(cfg.alphabet.symbols),
-        "relation": cfg.rel_text,
-        "equation": cfg.equation_text,
-        "max_len": cfg.max_len,
-        "budget": cfg.budget,
+        **head,
         "budget_exhausted": False,
         "pseudo_solutions": rows,
         "pseudo_count": cert.pseudo_count,
@@ -387,8 +385,15 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad command line instead of exiting; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wordeq",
         description="Word equations over anticongruences: hulls, ranks, pseudo-solutions.",
     )
@@ -434,8 +439,8 @@ def main(
 ) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = run_command(args.command, args.config, args.max_len, args.budget)
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)

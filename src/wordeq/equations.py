@@ -392,46 +392,26 @@ def descend(
     return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
 
 
-class _Representatives:
-    """Shortlex canonical representatives of rel up to max_len, generated on demand.
+def _representatives(
+    rel: Anticongruence, max_len: int, budget: Optional[int]
+) -> tuple[list[Letters], list[tuple[Letters, ...]]]:
+    """Shortlex canonical representatives of rel up to max_len and their sorted class members.
 
-    words[i] is the least member of class i, sizes[i] its class size and
-    members[i] its sorted members; index maps every member of a generated
-    class to i, so a word outside index belongs to no class generated yet.
+    Stops after budget + 1 classes: with that many the budget already runs
+    out inside the first prefix of the walk, which examines no class past it.
     """
-
-    def __init__(self, rel: Anticongruence, max_len: int):
-        self._rel = rel
-        k = len(rel.alphabet)
-        self._source = itertools.chain.from_iterable(
-            itertools.product(range(k), repeat=n) for n in range(max_len + 1)
-        )
-        self.words: list[tuple[int, ...]] = []
-        self.lens: list[int] = []
-        self.sizes: list[int] = []
-        self.members: list[tuple[tuple[int, ...], ...]] = []
-        self.index: dict[tuple[int, ...], int] = {}
-        self._grow()  # ε, alone in its class, is representative 0
-
-    def _grow(self) -> bool:
-        for w in self._source:
-            members = self._rel.class_letters(w)
-            if members[0] == w:
-                i = len(self.words)
-                self.words.append(w)
-                self.lens.append(len(w))
-                self.sizes.append(len(members))
-                self.members.append(members)
-                for m in members:
-                    self.index[m] = i
-                return True
-        return False
-
-    def shorter_than(self, length: int, cap: float) -> int:
-        """How many representatives are shorter than length; exact up to cap, else above cap."""
-        while (not self.words or self.lens[-1] < length) and len(self.words) <= cap and self._grow():
-            pass
-        return bisect.bisect_left(self.lens, length)
+    k = len(rel.alphabet)
+    words: list[Letters] = []
+    members: list[tuple[Letters, ...]] = []
+    for n in range(max_len + 1):
+        for w in itertools.product(range(k), repeat=n):
+            m = rel.class_letters(w)
+            if m[0] == w:
+                words.append(w)
+                members.append(m)
+                if budget is not None and len(words) > budget:
+                    return words, members
+    return words, members
 
 
 def _filler(segments: list[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -476,26 +456,24 @@ def enumerate_pseudo_solutions(
     words block by block against the classes of the other. Before a side
     is built, the product of its class sizes is compared with limit
     (ProductLimitExceeded). budget caps the number of assignments examined
-    in lexicographic order, the ones skipped for their length included;
-    exceeding it raises BudgetExceeded with progress counts. Word and
-    EqClass objects are built only for emitted solutions.
+    in lexicographic order, the ones skipped for their length included:
+    the leaf prefix + (j,) is assignment rank·R + j, counted from 0, where
+    rank is the prefix's position in product order and R the number of
+    representatives, so a leaf is tested only when rank·R + j < budget.
+    Exceeding the budget raises BudgetExceeded with progress counts. Word
+    and EqClass objects are built only for emitted solutions.
     """
     names = e.unknowns.symbols
     last = len(names) - 1
     lhs, rhs = e.lhs.letters, e.rhs.letters
     n_lhs, n_rhs = lhs.count(last), rhs.count(last)
-    reps = _Representatives(rel, max_len)
-    words, lens, sizes, members, index = reps.words, reps.lens, reps.sizes, reps.members, reps.index
-    cap = math.inf if budget is None else budget
+    words, members = _representatives(rel, max_len, budget)
+    lens = [len(w) for w in words]
+    sizes = [len(m) for m in members]
+    index = {m: i for i, ms in enumerate(members) for m in ms}
+    n_reps = len(words)
     classes: dict[int, EqClass] = {}
-    examined = emitted = 0
-
-    def skip(count: int) -> None:
-        # count assignments as examined, or stop where the budget runs out
-        nonlocal examined
-        if count > cap - examined:
-            raise BudgetExceeded(f"assignment budget {budget} exceeded", budget, emitted)
-        examined += count
+    emitted = 0
 
     def class_of(i: int) -> EqClass:
         c = classes.get(i)
@@ -554,35 +532,24 @@ def enumerate_pseudo_solutions(
             )
         return filter(general, js)
 
-    def leaves(prefix: tuple[int, ...]) -> Iterator[PseudoSolution]:
-        nonlocal emitted
-        gap = sum(lens[prefix[u]] for u in rhs if u != last) - sum(
-            lens[prefix[u]] for u in lhs if u != last
-        )
-        # the shortlex range of the last unknown's representatives of balancing length
-        if n_lhs == n_rhs:
-            lo_len, hi_len = (0, max_len + 1) if gap == 0 else (max_len + 1, max_len + 1)
-        else:
-            length, rest = divmod(gap, n_lhs - n_rhs)
-            if rest or not 0 <= length <= max_len:
-                lo_len = hi_len = max_len + 1
-            else:
-                lo_len, hi_len = length, length + 1
-        lo = reps.shorter_than(lo_len, cap - examined)
-        skip(lo)
-        hi = reps.shorter_than(hi_len, lo + cap - examined)
-        for j in solved(prefix, range(lo, min(hi, lo + cap - examined))):
-            emitted += 1
-            yield PseudoSolution(rel, {n: class_of(i) for n, i in zip(names, prefix + (j,))})
-        skip(hi - lo)
-        skip(reps.shorter_than(max_len + 1, hi + cap - examined) - hi)
-
     if not words:
         return  # max_len < 0: no representatives
-    yield from leaves((0,) * last)
-    # the first prefix has counted every representative, so the list is complete
-    for prefix in itertools.islice(itertools.product(range(len(words)), repeat=last), 1, None):
-        yield from leaves(prefix)
+    for rank, prefix in enumerate(itertools.product(range(n_reps), repeat=last)):
+        gap = sum(lens[prefix[u]] for u in rhs if u != last)
+        gap -= sum(lens[prefix[u]] for u in lhs if u != last)
+        # the lengths of the last unknown that balance the two sides, as [lo_len, hi_len)
+        if n_lhs == n_rhs:
+            lo_len, hi_len = (0, max_len + 1) if gap == 0 else (0, 0)
+        else:
+            length, rest = divmod(gap, n_lhs - n_rhs)
+            lo_len, hi_len = (0, 0) if rest else (length, length + 1)
+        left = n_reps if budget is None else budget - rank * n_reps  # leaves within budget
+        lo, hi = bisect.bisect_left(lens, lo_len), bisect.bisect_left(lens, hi_len)
+        for j in solved(prefix, range(lo, min(hi, left))):
+            emitted += 1
+            yield PseudoSolution(rel, {n: class_of(i) for n, i in zip(names, prefix + (j,))})
+        if left < n_reps:
+            raise BudgetExceeded(f"assignment budget {budget} exceeded", budget, emitted)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from wordeq import (
     Alphabet,
+    AlphabetMismatch,
     EnumerationGuardExceeded,
     EqClass,
     FiniteLanguage,
@@ -77,6 +78,12 @@ class TestEquiv:
     def test_different_lengths_never_equivalent(self):
         rel = swap_ab()
         assert not rel.equiv(AB.word("a"), AB.word("ab"))
+
+    @pytest.mark.parametrize("rel", [swap_ab(), reversal_relation(AB)], ids=["permutation", "raw"])
+    def test_words_over_another_alphabet_rejected(self, rel):
+        xyz = Alphabet("xyz")
+        with pytest.raises(AlphabetMismatch):
+            rel.equiv(xyz.word("xy"), xyz.word("yx"))
 
 
 class TestClassOf:

@@ -323,3 +323,22 @@ class TestRunCommand:
         text = report.human_text()
         assert "pseudo_rank: 2" in text
         assert "[a]" in text
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["search", "--config", "swap_search.cfg", "--max-len"],
+             "wordeq search: argument --max-len: expected one argument"),
+            (["frob", "--config", "swap_search.cfg"], "wordeq: argument command: invalid choice: 'frob'"),
+            ([], "wordeq: the following arguments are required: command"),
+        ],
+        ids=["missing flag value", "unknown command", "no command"],
+    )
+    def test_bad_command_line_is_config_error(self, argv, message, capsys):
+        # argparse's message goes to err; nothing exits or writes to sys.stderr
+        code, out, err = run(argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"config error: {message}")
+        assert capsys.readouterr() == ("", "")

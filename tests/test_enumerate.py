@@ -108,6 +108,9 @@ def seeded_instances(seed=20, count=8):
 CLOSED_TABLE = FiniteTable(AB, [((1, 1), (1, 0)), ((1, 1), (0, 1))])
 INSTANCES = config_instances() + criterion_4_instances() + seeded_instances() + [
     ("x y = y x/closed bb~ba, bb~ab", parse_equation("x y = y x"), CLOSED_TABLE, 3),
+    # one unknown: the walk has a single, empty prefix
+    ("x x = x/identity", parse_equation("x x = x"), Identity(AB), 3),
+    ("x x = x/(a b)", parse_equation("x x = x"), MorphicPermutation(AB, (1, 0)), 3),
 ]
 
 
@@ -143,9 +146,12 @@ def test_same_sequence_budget_and_guard(name, e, rel, max_len):
     assert outcome(enumerate_pseudo_solutions, e, rel, max_len) == expect
     assert expect[1] is None
 
-    r = len(brute_representatives(rel, max_len))
-    for budget in sorted({1, 2, r - 1, r, r + 1, r ** len(e.unknowns) - 1} - {0}):
+    # the edges of the first two prefixes, and of the whole walk, which r ** n completes
+    r, n = len(brute_representatives(rel, max_len)), len(e.unknowns)
+    edges = {1, 2, r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, r ** n - 1, r ** n}
+    for budget in sorted(edges - {0}):
         expect = outcome(brute_pseudo_solutions, e, rel, max_len, budget=budget)
+        assert (expect[1] is None) == (budget >= r ** n)
         assert outcome(enumerate_pseudo_solutions, e, rel, max_len, budget=budget) == expect
 
     boundary = largest_side_product(e, rel, max_len)
@@ -161,7 +167,7 @@ def test_sweep_covers_every_shape():
     assert kinds == {"identity", "permutation", "table"}
     balanced = [sorted(e.lhs.letters) == sorted(e.rhs.letters) for _, e, _, _ in INSTANCES]
     assert any(balanced) and not all(balanced)
-    assert {len(e.unknowns) for _, e, _, _ in INSTANCES} >= {2, 3}
+    assert {len(e.unknowns) for _, e, _, _ in INSTANCES} >= {1, 2, 3}
 
 
 def test_representatives_are_generated_lazily():
