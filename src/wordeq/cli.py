@@ -190,11 +190,11 @@ def _anticongruence(cfg: JobConfig) -> Anticongruence:
 
 
 def _mword(w: Word) -> str:
-    return str(w) if w.letters else ""
+    return w.alphabet.spell(w.letters)
 
 
 def _mlang(lang: FiniteLanguage) -> list[str]:
-    return [_mword(w) for w in lang]
+    return list(map(lang.alphabet.spell, lang.letters))
 
 
 def _massign_class(images: dict[str, EqClass], order: tuple[str, ...]) -> dict[str, str]:

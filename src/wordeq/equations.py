@@ -211,9 +211,12 @@ class PseudoVerdict:
     rhs_language: FiniteLanguage
 
 
-def _side_letters(side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int) -> set[tuple]:
+def _side_letters(
+    side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int
+) -> list[Letters]:
+    # class members are sorted and of one length, so each product stays sorted and distinct
     syms = unknowns.symbols
-    acc: set[tuple[int, ...]] = {()}
+    acc: list[Letters] = [()]
     for i in side.letters:
         name = syms[i]
         if name not in psol.images:
@@ -222,19 +225,27 @@ def _side_letters(side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: i
     return acc
 
 
+def _sides(
+    e: Equation, psol: PseudoSolution, limit: int
+) -> tuple[list[Letters], list[Letters], Optional[Letters]]:
+    """Both sorted side languages and the least word they share, None when they are disjoint."""
+    lhs = _side_letters(e.lhs, e.unknowns, psol, limit)
+    rhs = _side_letters(e.rhs, e.unknowns, psol, limit)
+    right = set(rhs)
+    return lhs, rhs, next((w for w in lhs if w in right), None)
+
+
 def check_pseudo_solution(
     e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> PseudoVerdict:
     """Materialize both side languages and look for a shared word."""
-    lhs = _side_letters(e.lhs, e.unknowns, psol, limit)
-    rhs = _side_letters(e.rhs, e.unknowns, psol, limit)
+    lhs, rhs, common = _sides(e, psol, limit)
     alphabet = psol.rel.alphabet
-    common = lhs & rhs
     return PseudoVerdict(
-        bool(common),
-        Word(alphabet, min(common)) if common else None,
-        FiniteLanguage.of_letters(alphabet, lhs),
-        FiniteLanguage.of_letters(alphabet, rhs),
+        common is not None,
+        None if common is None else Word(alphabet, common),
+        FiniteLanguage(alphabet, tuple(lhs)),
+        FiniteLanguage(alphabet, tuple(rhs)),
     )
 
 
@@ -335,13 +346,11 @@ def _hull_basis(psol: PseudoSolution) -> tuple[Letters, ...]:
 
 def _descent(
     e: Equation, psol: PseudoSolution, limit: int
-) -> tuple[set[Letters], tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
-    """descend on letter tuples: the words both sides share, the hull basis,
-    its class representatives and each unknown's image as class indices."""
-    common = _side_letters(e.lhs, e.unknowns, psol, limit) & _side_letters(
-        e.rhs, e.unknowns, psol, limit
-    )
-    if not common:
+) -> tuple[Letters, tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
+    """descend on letter tuples: the least word both sides share, the hull
+    basis, its class representatives and each unknown's image as class indices."""
+    common = _sides(e, psol, limit)[2]
+    if common is None:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
     rel = psol.rel
     basis = _hull_basis(psol)
@@ -389,7 +398,7 @@ def descend(
     else:
         class_alphabet = Alphabet(("[·]",))  # all images ε; one unused symbol
     alpha = Solution({x: Word(class_alphabet, w) for x, w in images.items()})
-    return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
+    return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, common))
 
 
 def _representatives(
@@ -491,8 +500,8 @@ def enumerate_pseudo_solutions(
         return out
 
     def decide(side: list[int], other: list[int]) -> bool:
-        # build side's product left to right, dropping a word as soon as one
-        # of other's blocks lies inside it and is not in that block's class
+        # build side's product left to right (solved checked it against limit), dropping a
+        # word as soon as one of other's blocks lies inside it and is not in that block's class
         blocks, pos = [], 0
         for c in other:
             if lens[c]:
@@ -500,7 +509,7 @@ def enumerate_pseudo_solutions(
                 pos += lens[c]
         built, pos, k = [()], 0, 0
         for c in side:
-            built = [u + v for u in built for v in members[c]]
+            built = product_letters(built, members[c], limit)
             pos += lens[c]
             while k < len(blocks) and blocks[k][1] <= pos:
                 a, b, d = blocks[k]
@@ -549,7 +558,7 @@ def enumerate_pseudo_solutions(
             emitted += 1
             yield PseudoSolution(rel, {n: class_of(i) for n, i in zip(names, prefix + (j,))})
         if left < n_reps:
-            raise BudgetExceeded(f"assignment budget {budget} exceeded", budget, emitted)
+            raise BudgetExceeded(f"assignment budget {budget} exceeded", max(budget, 0), emitted)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ declaration order fixes the lexicographic order used everywhere else.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 
@@ -38,6 +40,7 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    _sep: str = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -50,6 +53,8 @@ class Alphabet:
             raise ValueError("alphabet symbols must be distinct")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(syms)})
+        # single-character symbols are written side by side, longer ones spaced
+        object.__setattr__(self, "_sep", "" if all(len(s) == 1 for s in syms) else " ")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -74,6 +79,10 @@ class Alphabet:
         else:
             parts = text
         return Word(self, tuple(self.index(p) for p in parts))
+
+    def spell(self, letters: Sequence[int]) -> str:
+        """The symbols of letters as str(Word) writes them; "" for the empty word."""
+        return self._sep.join(map(self.symbols.__getitem__, letters))
 
     def epsilon(self) -> Word:
         return Word(self, ())
@@ -125,12 +134,7 @@ class Word:
         return self.letters <= other.letters
 
     def __str__(self) -> str:
-        syms = self.alphabet.symbols
-        if not self.letters:
-            return "ε"
-        if all(len(s) == 1 for s in syms):
-            return "".join(syms[i] for i in self.letters)
-        return " ".join(syms[i] for i in self.letters)
+        return self.alphabet.spell(self.letters) if self.letters else "ε"
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -164,12 +168,13 @@ def split(w: Word, i: int) -> tuple[Word, Word]:
 class FiniteLanguage:
     """Duplicate-free, lexicographically sorted set of words over one alphabet.
 
-    The sorted tuple is the canonical form; two languages are equal iff
-    their canonical forms are.
+    The sorted tuple of letter tuples is the canonical form; two languages
+    are equal iff their canonical forms are. Word objects are built on
+    first use of words (or iteration), never for counting or membership.
     """
 
     alphabet: Alphabet
-    words: tuple[Word, ...]
+    letters: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[Word] = ()) -> FiniteLanguage:
@@ -178,31 +183,43 @@ class FiniteLanguage:
     @classmethod
     def of_letters(cls, alphabet: Alphabet, letters: Iterable[tuple[int, ...]]) -> FiniteLanguage:
         """The language of distinct letter tuples over alphabet."""
-        return cls(alphabet, tuple(Word(alphabet, ls) for ls in sorted(letters)))
+        ls, k = tuple(sorted(letters)), len(alphabet)
+        bad = set(itertools.chain.from_iterable(ls)).difference(range(k))
+        if bad:
+            raise ValueError(f"letter index {min(bad)} out of range for alphabet of size {k}")
+        return cls(alphabet, ls)
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> FiniteLanguage:
         """The language {ε}, the unit of the product."""
-        return cls.of(alphabet, [alphabet.epsilon()])
+        return cls(alphabet, ((),))
+
+    @functools.cached_property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(Word(self.alphabet, ls) for ls in self.letters)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.letters)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
     def __contains__(self, w: Word) -> bool:
-        return isinstance(w, Word) and w.alphabet == self.alphabet and w in self.words
+        if not isinstance(w, Word) or w.alphabet != self.alphabet:
+            return False
+        i = bisect.bisect_left(self.letters, w.letters)
+        return i < len(self.letters) and self.letters[i] == w.letters
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(w) for w in self.words) + "}"
+        return "{" + ", ".join(self.alphabet.spell(ls) or "ε" for ls in self.letters) + "}"
 
 
-def product_letters(a: Collection[tuple], b: Collection[tuple], limit: int) -> set[tuple]:
-    """{u+v | u in a, v in b} over letter tuples; checks len(a)*len(b) <= limit first."""
+def product_letters(a: Sequence[tuple], b: Sequence[tuple], limit: int) -> list[tuple]:
+    """[u+v for u in a for v in b], after checking len(a)*len(b) <= limit; sorted
+    operands whose words each have one length give a sorted, duplicate-free list."""
     if len(a) * len(b) > limit:
         raise ProductLimitExceeded(f"product of {len(a)} x {len(b)} words exceeds limit {limit}")
-    return {u + v for u in a for v in b}
+    return [u + v for u in a for v in b]
 
 
 def product(
@@ -210,8 +227,8 @@ def product(
 ) -> FiniteLanguage:
     """Elementwise concatenation {u·v | u in K, v in L}, canonicalized."""
     _require_same_alphabet(k, l)
-    combined = product_letters([u.letters for u in k.words], [v.letters for v in l.words], limit)
-    return FiniteLanguage.of_letters(k.alphabet, combined)
+    # operands of mixed lengths can give one word twice, as a·ab = aa·b
+    return FiniteLanguage.of_letters(k.alphabet, set(product_letters(k.letters, l.letters, limit)))
 
 
 def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]) -> list[bool]:

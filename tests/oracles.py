@@ -7,7 +7,9 @@ brute_pseudo_solutions (the enumerator, memo included) for the
 depth-first walk, brute_descend with brute_certificate (the descent
 on Word objects) for the letter-level descent, and brute_closed_pairs
 (the cut-and-transitive fixpoint) for the FiniteTable closure, and
-brute_verify_axioms for the one-pass axiom check.
+brute_verify_axioms for the one-pass axiom check. brute_product_letters
+and brute_side_letters are the former set products, so the side-language
+checks share no code with the sorted list products they check.
 PairTable is a test double for relations that are not anticongruences.
 """
 from __future__ import annotations
@@ -31,6 +33,7 @@ from wordeq import (
     MissingImage,
     MorphicPermutation,
     NotInMonoid,
+    ProductLimitExceeded,
     PseudoSolution,
     RankCertificate,
     Solution,
@@ -41,8 +44,28 @@ from wordeq import (
     pseudo_free_hull,
     solution_rank,
 )
-from wordeq.equations import _class_symbols, _side_letters
-from wordeq.words import product_letters
+from wordeq.equations import _class_symbols
+
+
+def brute_product_letters(a, b, limit: int) -> set[tuple[int, ...]]:
+    """{u+v | u in a, v in b} as a set, with the library's guard test and message
+    (the library's former product_letters)."""
+    if len(a) * len(b) > limit:
+        raise ProductLimitExceeded(f"product of {len(a)} x {len(b)} words exceeds limit {limit}")
+    return {u + v for u in a for v in b}
+
+
+def brute_side_letters(side: Word, unknowns: Alphabet, psol, limit: int) -> set[tuple[int, ...]]:
+    """One side's product of image classes as a set (the library's former _side_letters)."""
+    syms = unknowns.symbols
+    acc: set[tuple[int, ...]] = {()}
+    for i in side.letters:
+        name = syms[i]
+        if name not in psol.images:
+            raise MissingImage(f"no image for unknown {name}")
+        members = psol.rel.class_letters(psol.images[name].rep.letters)
+        acc = brute_product_letters(acc, members, limit)
+    return acc
 
 
 def brute_factorizations(w: Word, basis: list[Word]) -> list[tuple[Word, ...]]:
@@ -275,7 +298,7 @@ def brute_pseudo_solutions(e, rel, max_len, budget=None, limit=DEFAULT_PRODUCT_L
         def side_language(cids: tuple[int, ...]) -> set[tuple[int, ...]]:
             cached = memo.get(cids)
             if cached is None:
-                cached = product_letters(side_language(cids[:-1]), langs[cids[-1]], limit)
+                cached = brute_product_letters(side_language(cids[:-1]), langs[cids[-1]], limit)
                 memo[cids] = cached
             return cached
 
@@ -312,7 +335,7 @@ def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     """The library's former descend, on Word objects: hull of the union members,
     brute_class_factorization of each image, a fresh class alphabet, and the
     solution and rank checks through check_solution and solution_rank."""
-    common = _side_letters(e.lhs, e.unknowns, psol, limit) & _side_letters(
+    common = brute_side_letters(e.lhs, e.unknowns, psol, limit) & brute_side_letters(
         e.rhs, e.unknowns, psol, limit
     )
     if not common:

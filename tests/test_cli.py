@@ -158,6 +158,20 @@ class TestCheck:
         assert code == EXIT_PASS
         assert json.loads(out)["valid"] is True
 
+    def test_multichar_symbols_spelled_with_spaces(self, tmp_path):
+        cfg = write(
+            tmp_path,
+            "alphabet: a1 b1\nrel: permutation: (a1 b1)\n"
+            "equation: x y = y x\nassign: x=a1 y=b1\n",
+        )
+        code, out, _ = run(["check", "--config", cfg, "--machine"])
+        assert code == EXIT_PASS
+        data = json.loads(out)
+        assert data["assign"] == {"x": "a1", "y": "a1"}
+        assert data["common"] == "a1 a1"
+        words = ["a1 a1", "a1 b1", "b1 a1", "b1 b1"]
+        assert data["lhs_language"] == data["rhs_language"] == words
+
     def test_missing_assignment(self, tmp_path):
         cfg = write(tmp_path, "alphabet: a b\nrel: identity\nequation: x y = y x\nassign: x=a\n")
         code, _, err = run(["check", "--config", cfg])

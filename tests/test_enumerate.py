@@ -146,10 +146,11 @@ def test_same_sequence_budget_and_guard(name, e, rel, max_len):
     assert outcome(enumerate_pseudo_solutions, e, rel, max_len) == expect
     assert expect[1] is None
 
-    # the edges of the first two prefixes, and of the whole walk, which r ** n completes
+    # the edges of the first two prefixes, and of the whole walk, which r ** n
+    # completes; budgets below 1 examine nothing
     r, n = len(brute_representatives(rel, max_len)), len(e.unknowns)
-    edges = {1, 2, r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, r ** n - 1, r ** n}
-    for budget in sorted(edges - {0}):
+    edges = {-1, 0, 1, 2, r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, r ** n - 1, r ** n}
+    for budget in sorted(edges):
         expect = outcome(brute_pseudo_solutions, e, rel, max_len, budget=budget)
         assert (expect[1] is None) == (budget >= r ** n)
         assert outcome(enumerate_pseudo_solutions, e, rel, max_len, budget=budget) == expect

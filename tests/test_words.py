@@ -48,6 +48,16 @@ class TestAlphabet:
         assert len(w) == 3
         assert str(w) == "up down up"
 
+    def test_epsilon_prints_as_epsilon(self):
+        assert str(AB.epsilon()) == "ε"
+        assert str(Alphabet(["up", "down"]).epsilon()) == "ε"
+
+    def test_spell_matches_str(self):
+        al = Alphabet(["up", "down"])
+        assert al.spell((0, 1, 0)) == str(al.word("up down up")) == "up down up"
+        assert AB.spell((0, 1, 1)) == "abb"
+        assert AB.spell(()) == ""
+
 
 class TestConcatSplit:
     def test_concat(self):
@@ -102,6 +112,35 @@ class TestProduct:
         k = lang(AB, "a", "b", "aa")
         with pytest.raises(ProductLimitExceeded):
             product(k, k, limit=8)
+
+
+class TestFiniteLanguage:
+    def test_of_letters_rejects_letter_outside_alphabet(self):
+        with pytest.raises(ValueError):
+            FiniteLanguage.of_letters(AB, [(0, 2)])
+
+    def test_of_letters_sorts_and_keeps_letters(self):
+        got = FiniteLanguage.of_letters(AB, [(1,), (0, 1), (0,)])
+        assert got.letters == ((0,), (0, 1), (1,))
+        assert [str(w) for w in got] == ["a", "ab", "b"]
+
+    def test_product_removes_duplicates(self):
+        # a·bb and ab·b are the same word
+        got = product(lang(AB, "a", "ab"), lang(AB, "b", "bb"))
+        assert len(got) == 3
+        assert [str(w) for w in got.words] == ["ab", "abb", "abbb"]
+
+    def test_membership_agrees_with_words(self):
+        langs = [lang(AB), lang(AB, ""), lang(AB, "a", "ab", "ba", "bab", "abba", "bbbb")]
+        for k in langs:
+            for w in AB.words_up_to(4):
+                assert (w in k) == (w in k.words)
+        assert ABC.word("a") not in lang(AB, "a")
+
+    def test_length_and_membership_build_no_words(self):
+        k = lang(AB, "a", "ab")
+        assert len(k) == 2 and AB.word("ab") in k
+        assert "words" not in vars(k)
 
 
 class TestFactorizations:
