@@ -11,6 +11,7 @@ bad command lines, 3 budget or guard exhaustion.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -52,6 +53,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 HUMAN_TABLE_ROWS = 50
+SPELL_CHUNK = 4096  # words per bulk spelling pass, which bounds its peak memory
 
 
 class ConfigError(WordEqError):
@@ -194,7 +196,19 @@ def _mword(w: Word) -> str:
 
 
 def _mlang(lang: FiniteLanguage) -> list[str]:
-    return list(map(lang.alphabet.spell, lang.letters))
+    """The spelled words of lang. Words of one length n >= 1 over at most 256 one-character
+    symbols are spelled in bulk: SPELL_CHUNK words per translate, cut every n letters."""
+    alphabet, words = lang.alphabet, lang.letters
+    n = len(words[0]) if words else 0
+    one_char = len(alphabet) <= 256 and len("".join(alphabet.symbols)) == len(alphabet)
+    if not (n and one_char and set(map(len, words)) == {n}):
+        return list(map(alphabet.spell, words))
+    table, out = dict(enumerate(alphabet.symbols)), []
+    for start in range(0, len(words), SPELL_CHUNK):
+        raw = bytes(itertools.chain.from_iterable(words[start : start + SPELL_CHUNK]))
+        text = raw.decode("latin-1").translate(table)
+        out += [text[i : i + n] for i in range(0, len(text), n)]
+    return out
 
 
 def _massign_class(images: dict[str, EqClass], order: tuple[str, ...]) -> dict[str, str]:
@@ -407,6 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args leaves it unchanged, so every main call shares it
+
+
 def run_command(
     command: str,
     config_path: str,
@@ -440,7 +457,7 @@ def main(
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report = run_command(args.command, args.config, args.max_len, args.budget)
     except ConfigError as exc:
         print(f"config error: {exc}", file=err)

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Optional
 
 from .anticongruence import Anticongruence, Identity
 from .words import (
+    Alphabet,
     EnumerationGuardExceeded,
     Word,
     WordEqError,
@@ -141,12 +142,16 @@ def minimal_generators(words: Iterable[Word]) -> frozenset[Word]:
 
 
 def _minimal_letters(pool: set[Letters]) -> list[Letters]:
-    """Sorted members of pool that are not products of other members.
-
-    Only members shorter than w can be factors of a product equal to w.
-    """
-    bs = sorted(pool)
-    return [w for w in bs if not reachable_suffixes(w, [b for b in bs if len(b) < len(w)])[0]]
+    """Sorted members of pool that are not products of other members: one pass in length
+    order, testing w against the kept members shorter than w, which generate the rest."""
+    kept: list[Letters] = []
+    shorter = 0  # kept is in length order; kept[:shorter] are shorter than w
+    for w in sorted(pool, key=len):
+        if kept and len(kept[-1]) < len(w):
+            shorter = len(kept)
+        if not shorter or not reachable_suffixes(w, kept[:shorter])[0]:
+            kept.append(w)
+    return sorted(kept)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -177,17 +182,24 @@ def hull_letters(rel: Anticongruence, words: frozenset[Letters]) -> tuple[Letter
     return tuple(basis)
 
 
+def basis_words(alphabet: Alphabet, basis: Iterable[Letters], given: Iterable[Word]) -> dict:
+    """Letters -> Word for each basis word, in basis order; a given Word where one matches."""
+    reuse = {w.letters: w for w in given}
+    return {b: reuse[b] if b in reuse else Word(alphabet, b) for b in basis}
+
+
 def free_hull(words: Iterable[Word]) -> Basis:
     """Basis of the smallest free monoid containing the given words.
 
     This is the pseudo-free hull under the identity relation.
     """
-    alphabet, letters = letters_over(words)
+    given = tuple(words)
+    alphabet, letters = letters_over(given)
     letters.discard(())
     if not letters:
         return Basis(())
     basis = hull_letters(Identity(alphabet), frozenset(letters))
-    return Basis(tuple(Word(alphabet, b) for b in basis))
+    return Basis(tuple(basis_words(alphabet, basis, given).values()))
 
 
 def rank(words: Iterable[Word]) -> int:

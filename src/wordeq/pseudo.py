@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .anticongruence import Anticongruence, EqClass
-from .freeness import Basis, Letters, hull_letters
+from .freeness import Basis, Letters, basis_words, hull_letters
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     FiniteLanguage,
@@ -77,15 +77,14 @@ class PseudoFreeBasis:
 
     @classmethod
     def of_letters(
-        cls, rel: Anticongruence, basis: Iterable[Letters], reps: Iterable[Letters]
+        cls, rel: Anticongruence, basis: Iterable[Letters], reps: Iterable[Letters],
+        given: Iterable[Word] = (),
     ) -> PseudoFreeBasis:
-        """The basis from its letter tuples and its class representatives (class_reps)."""
-        alphabet = rel.alphabet
-        return cls(
-            rel,
-            Basis(tuple(Word(alphabet, b) for b in basis)),
-            tuple(EqClass(rel, Word(alphabet, r)) for r in reps),
-        )
+        """The basis from its letter tuples and its class representatives (class_reps):
+        one Word per basis word, a given Word where one matches, which is also the rep
+        of its class (the basis is class-closed, so a class's least member is in it)."""
+        words = basis_words(rel.alphabet, basis, given)
+        return cls(rel, Basis(tuple(words.values())), tuple(EqClass(rel, words[r]) for r in reps))
 
     def pseudo_rank(self) -> int:
         return len(self.classes)
@@ -114,10 +113,11 @@ def pseudo_free_hull(rel: Anticongruence, words: Iterable[Word]) -> PseudoFreeBa
 
     The basis comes from freeness.hull_letters, which free_hull also runs.
     """
-    _, letters = letters_over(words, rel.alphabet)
+    given = tuple(words)
+    _, letters = letters_over(given, rel.alphabet)
     letters.discard(())
     basis = hull_letters(rel, frozenset(letters))
-    return PseudoFreeBasis.of_letters(rel, basis, class_reps(rel, basis))
+    return PseudoFreeBasis.of_letters(rel, basis, class_reps(rel, basis), given)
 
 
 def class_reps(rel: Anticongruence, words: Iterable[Letters]) -> list[Letters]:
@@ -128,8 +128,8 @@ def class_reps(rel: Anticongruence, words: Iterable[Letters]) -> list[Letters]:
 def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
     """The unique class sequence whose product contains w.
 
-    Factorizes w over the basis (unique, the basis is a code) and maps
-    each factor to its class. Raises NotInMonoid outside the monoid.
+    Factorizes w over the basis (unique, the basis is a code) and maps each
+    factor to its class in pfb.classes. Raises NotInMonoid outside the monoid.
     """
     if not w.letters:
         return ClassWord(())
@@ -139,7 +139,14 @@ def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
     factors = least_factorization(w.letters, basis)
     if factors is None:
         raise NotInMonoid(f"{w} is not in the monoid of {pfb.basis_words}")
-    return ClassWord(tuple(EqClass.of(pfb.rel, Word(w.alphabet, b)) for b in factors))
+    rel = pfb.rel
+    rel._check(w)
+    by_rep = {c.rep.letters: c for c in pfb.classes if c.rel == rel}
+    out = []
+    for b in factors:
+        r = rel.class_letters(b)[0]  # a hand-built basis may lack its class
+        out.append(by_rep[r] if r in by_rep else EqClass(rel, Word(rel.alphabet, r)))
+    return ClassWord(tuple(out))
 
 
 def factorization_is_morphism(pfb: PseudoFreeBasis, u: Word, v: Word) -> bool:

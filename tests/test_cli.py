@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from wordeq import Alphabet, FiniteLanguage
 from wordeq.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_PASS,
     ConfigError,
+    _mlang,
     main,
     parse_config,
     run_command,
@@ -172,6 +175,29 @@ class TestCheck:
         words = ["a1 a1", "a1 b1", "b1 a1", "b1 b1"]
         assert data["lhs_language"] == data["rhs_language"] == words
 
+    def test_all_empty_images_spell_epsilon(self, tmp_path):
+        cfg = write(tmp_path, COMMUTE_CFG.format(x="", y=""))
+        code, out, _ = run(["check", "--config", cfg, "--machine"])
+        assert code == EXIT_PASS
+        assert '"lhs_language": [""]' in out
+
+    @pytest.mark.parametrize(
+        "symbols, words",
+        [
+            ("ab", [(0, 1), (1, 0), (1, 1)]),
+            ("ab", [(0, 1), (0, 1, 1), (1, 0)]),  # mixed lengths, equal at both ends
+            (("a1", "b1"), [(0, 1), (1, 1)]),  # multi-character symbols
+            ("αβγ", [(0, 2, 1), (2, 1, 0)]),  # non-ASCII symbols
+            ("abc", list(itertools.product(range(3), repeat=8))),  # several chunks
+            ("ab", [()]),
+            ("ab", []),
+        ],
+    )
+    def test_bulk_spelling_matches_per_word(self, symbols, words):
+        alphabet = Alphabet(symbols)
+        lang = FiniteLanguage.of_letters(alphabet, words)
+        assert _mlang(lang) == [alphabet.spell(w) for w in lang.letters]
+
     def test_missing_assignment(self, tmp_path):
         cfg = write(tmp_path, "alphabet: a b\nrel: identity\nequation: x y = y x\nassign: x=a\n")
         code, _, err = run(["check", "--config", cfg])
@@ -257,6 +283,15 @@ class TestSearch:
         code, out, err = run(["search", "--config", cfg, "--machine", f"{flag}={text}"])
         assert (code, out) == (EXIT_CONFIG, "")
         assert f"bad {flag}" in err
+
+    def test_flags_do_not_carry_over_between_calls(self, tmp_path):
+        cfg = write(tmp_path, COMMUTE_CFG.format(x="a", y="b"))
+        code, out, _ = run(["search", "--config", cfg, "--machine", "--budget", "1"])
+        assert code == EXIT_BUDGET
+        assert json.loads(out)["budget"] == 1
+        code, out, _ = run(["search", "--config", cfg, "--machine"])
+        assert code == EXIT_PASS
+        assert json.loads(out)["budget"] is None
 
     def test_zero_budget_flag_is_config_error(self, tmp_path):
         cfg = write(tmp_path, COMMUTE_CFG.format(x="a", y="b"))

@@ -6,10 +6,12 @@ import pytest
 from wordeq import (
     Alphabet,
     AlphabetMismatch,
+    Basis,
     EqClass,
     Identity,
     MorphicPermutation,
     NotInMonoid,
+    PseudoFreeBasis,
     Word,
     close_pairs,
     class_closure,
@@ -18,11 +20,12 @@ from wordeq import (
     factorization_is_morphism,
     free_hull,
     is_code,
+    parse_relation,
     pseudo_free_hull,
     pseudo_rank,
 )
 
-from oracles import all_word_sets, brute_reachable
+from oracles import all_word_sets, brute_class_factorization, brute_reachable
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -224,6 +227,53 @@ class TestClassFactorization:
                     if w.letters in pieces:
                         covering.append(seq)
             assert covering == [tuple(cw.classes)]
+
+
+    @pytest.mark.parametrize("text", ["permutation: (a b)", "table: a~b, ab~ba, aab~bba"])
+    def test_against_brute_factorization(self, text):
+        rel = parse_relation(AB, text)
+        for xs in all_word_sets(AB, 3, 4):
+            hull = pseudo_free_hull(rel, xs)
+            for w in xs:
+                assert class_factorization(hull, w) == brute_class_factorization(hull, w), strs(xs)
+
+    def test_hand_built_basis_without_classes(self):
+        rel = swap_ab()
+        hull = pseudo_free_hull(rel, [AB.word("aba")])
+        bare = PseudoFreeBasis(rel, hull.basis_words, ())
+        w = AB.word("ababab")
+        assert class_factorization(bare, w) == class_factorization(hull, w)
+
+    def test_error_order(self):
+        rel = swap_ab()
+        with pytest.raises(ValueError, match="empty word"):
+            class_factorization(PseudoFreeBasis(rel, Basis((AB.word(""), AB.word("a"))), ()), AB.word("b"))
+        hull = pseudo_free_hull(rel, [AB.word("ab")])
+        with pytest.raises(NotInMonoid):
+            class_factorization(hull, ABC.word("c"))
+        with pytest.raises(AlphabetMismatch):
+            class_factorization(hull, ABC.word("ba"))
+        assert len(class_factorization(hull, ABC.word(""))) == 0
+
+
+class TestObjectReuse:
+    def test_factor_classes_are_hull_classes(self):
+        for rel in (swap_ab(), parse_relation(AB, "table: a~b, ab~ba, aab~bba")):
+            for xs in all_word_sets(AB, 2, 3):
+                hull = pseudo_free_hull(rel, xs)
+                for w in xs:
+                    for c in class_factorization(hull, w).classes:
+                        assert any(c is d for d in hull.classes)
+
+    def test_class_reps_are_basis_words(self):
+        hull = pseudo_free_hull(three_letter_table(), [ABC.word(t) for t in ("abc", "b", "a")])
+        for c in hull.classes:
+            assert any(c.rep is b for b in hull.basis_words)
+
+    def test_code_input_words_are_returned(self):
+        xs = [AB.word(t) for t in ("aab", "ab", "ba", "bba")]
+        for basis in (free_hull(xs), pseudo_free_hull(swap_ab(), xs).basis_words):
+            assert sorted(map(id, basis)) == sorted(map(id, xs))
 
 
 class TestMorphismAndStability:
