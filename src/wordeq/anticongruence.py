@@ -331,21 +331,33 @@ def verify_axioms(
         raise ValueError("max_len must be at least 1")
     alphabet = rel.alphabet
     k = len(alphabet)
-    total = sum(k**n for n in range(max_len + 1))
-    if total > word_guard:
+    # add the strata up one at a time and stop once past the guard: the
+    # full count can be too large to compute or to print
+    totals = itertools.accumulate(k**n for n in range(max_len + 1))
+    if any(total > word_guard for total in totals):
         raise EnumerationGuardExceeded(
-            f"{total} words up to length {max_len} exceed the guard of {word_guard}"
+            f"words up to length {max_len} exceed the guard of {word_guard}"
         )
 
-    words = list(alphabet.words_up_to(max_len))
-    # rel.equiv is asked once per ordered pair; every check reads this map
-    related = {u.letters: [v.letters for v in words if rel.equiv(u, v)] for u in words}
+    support = [u for n in range(max_len + 1) for u in itertools.product(range(k), repeat=n)]
     word = functools.partial(Word, alphabet)
+    if isinstance(rel, Anticongruence):
+        # equiv(u, v) is v in class_letters(u), so one class read per word
+        # finds every related word; members outside the support are dropped
+        rank = {u: i for i, u in enumerate(support)}
+        related = {
+            u: [support[i] for i in sorted({rank[v] for v in rel.class_letters(u) if v in rank})]
+            for u in support
+        }
+    else:
+        # an opaque predicate is asked once per ordered pair
+        words = [word(u) for u in support]
+        related = {u.letters: [v.letters for v in words if rel.equiv(u, v)] for u in words}
 
-    for u in words:
-        for v in related[u.letters]:
+    for u, vs in related.items():
+        for v in vs:
             if len(v) != len(u):
-                return AxiomViolation("length", u, word(v))
+                return AxiomViolation("length", word(u), word(v))
 
     classes = {u: frozenset(vs) for u, vs in related.items()}
     for _, stratum in itertools.groupby(related, len):

@@ -7,6 +7,7 @@ import pytest
 from wordeq import (
     Alphabet,
     AlphabetMismatch,
+    Anticongruence,
     EnumerationGuardExceeded,
     EqClass,
     FiniteLanguage,
@@ -26,6 +27,32 @@ from oracles import brute_closed_pairs, brute_verify_axioms, orbit_equiv
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
 ABCD = Alphabet("abcd")
+
+
+class ClassTable(Anticongruence):
+    """Classes read off a dict of letter tuples, which need not be an anticongruence."""
+
+    def __init__(self, alphabet, classes):
+        super().__init__(alphabet)
+        self._members = {u: tuple(sorted(vs)) for u, vs in classes.items()}
+
+    def class_letters(self, letters):
+        return self._members.get(letters, (letters,))
+
+
+class CountingSwap(MorphicPermutation):
+    """The swap of a and b, counting class reads and refusing equiv."""
+
+    def __init__(self, alphabet):
+        super().__init__(alphabet, (1, 0))
+        self.class_reads = 0
+
+    def class_letters(self, letters):
+        self.class_reads += 1
+        return super().class_letters(letters)
+
+    def equiv(self, u, v):
+        raise AssertionError("equiv called")
 
 
 def swap_ab(alphabet=AB):
@@ -290,6 +317,78 @@ class TestVerifyAxioms:
     def test_guard(self):
         with pytest.raises(EnumerationGuardExceeded):
             verify_axioms(swap_ab(), 4, word_guard=10)
+
+    @pytest.mark.parametrize(
+        "alphabet,max_len", [(Alphabet("a"), 10**9), (AB, 20000)], ids=["unary", "binary"]
+    )
+    def test_guard_stops_counting_once_passed(self, alphabet, max_len):
+        # the full word count is 10^9 + 1 and 2^20001 - 1: neither is summed nor printed
+        with pytest.raises(EnumerationGuardExceeded) as exc:
+            verify_axioms(MorphicPermutation(alphabet, range(len(alphabet))), max_len)
+        assert str(exc.value) == f"words up to length {max_len} exceed the guard of 2000"
+
+    def test_broken_class_maps_match_pair_scan(self):
+        # seeded class maps on binary words up to length 3, built like
+        # oracles.PairTable: each starts as an equivalence (identity, swap
+        # orbits or random blocks per length, rarely cut-closed) and may then
+        # lose its own word, gain a partner in one direction only, chain
+        # three words, gain a word of another length or one of length 4,
+        # outside the support
+        rng = random.Random(9)
+        swap = swap_ab()
+        strata = [[w.letters for w in AB.words_of_length(n)] for n in range(5)]
+        support = [u for stratum in strata[:4] for u in stratum]
+        kinds, outside = set(), 0
+        for i in range(400):
+            classes = {}
+            for stratum in strata:
+                if i % 3 == 0:
+                    classes.update((u, {u}) for u in stratum)
+                elif i % 3 == 1:
+                    classes.update((u, set(swap.class_letters(u))) for u in stratum)
+                else:
+                    label = {u: rng.randrange(len(stratum)) for u in stratum}
+                    classes.update((u, {v for v in stratum if label[v] == label[u]}) for u in stratum)
+            for _ in range(rng.randrange(3)):
+                u = rng.choice(strata[rng.randrange(1, 4)])
+                defect = rng.randrange(5)
+                if defect == 0:
+                    classes[u].discard(u)
+                elif defect == 1:
+                    classes[u].add(rng.choice(strata[len(u)]))
+                elif defect == 2:
+                    v, w = (rng.choice(strata[len(u)]) for _ in range(2))
+                    classes[u].add(v)
+                    classes[v].update((u, w))
+                    classes[w].add(v)
+                elif defect == 3:
+                    classes[u].add(rng.choice(support))
+                else:
+                    classes[u].add(rng.choice(strata[4]))
+                    outside += 1
+            rel = ClassTable(AB, classes)
+            got = verify_axioms(rel, 3)
+            assert got == brute_verify_axioms(rel, 3)
+            assert got == verify_axioms(SimpleNamespace(alphabet=AB, equiv=rel.equiv), 3)
+            kinds.add(got and got.kind)
+        assert kinds == {None, "length", "reflexivity", "symmetry", "transitivity", "cut"}
+        assert outside > 50
+
+    def test_class_path_reads_each_class_once(self):
+        rel = CountingSwap(AB)
+        assert verify_axioms(rel, 4) is None
+        assert rel.class_reads == sum(2**n for n in range(5))
+
+    def test_pair_scan_asks_every_ordered_pair(self):
+        swap = swap_ab()
+        calls = []
+
+        def equiv(u, v):
+            calls.append((u, v))
+            return swap.equiv(u, v)
+
+        assert verify_axioms(SimpleNamespace(alphabet=AB, equiv=equiv), 4) is None
+        assert len(calls) == sum(2**n for n in range(5)) ** 2
 
     def test_all_permutations_small_alphabets(self):
         for size in (1, 2, 3):

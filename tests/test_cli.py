@@ -340,6 +340,20 @@ class TestVerifyRel:
         assert data["counterexample"]["v"] == "ba"
         assert data["counterexample"]["cut"] == 1
 
+    def test_oversized_max_len_hits_the_word_guard(self, tmp_path):
+        # 2^20001 words: the guard stops counting long before the sum has 4300 digits
+        cfg = write(tmp_path, "alphabet: a b\nrel: permutation: (a b)\nmax_len: 20000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordeq.cli", "verify-rel", "--config", cfg, "--machine"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        assert proc.stderr.startswith("budget exhausted:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
