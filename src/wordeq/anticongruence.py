@@ -78,6 +78,13 @@ class Identity(Anticongruence):
         return (letters,)
 
 
+@functools.lru_cache(maxsize=64)
+def identity_of(alphabet: Alphabet) -> Identity:
+    """One Identity per alphabet. Caches keyed on the relation keep their key
+    alive, so a fresh Identity per call would pile up there."""
+    return Identity(alphabet)
+
+
 class MorphicPermutation(Anticongruence):
     """Orbit equivalence of the letterwise extension of an alphabet permutation.
 

@@ -10,13 +10,16 @@ enumeration.
 from __future__ import annotations
 
 import bisect
+import functools
+import heapq
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .anticongruence import Anticongruence, EqClass, Identity
+from .anticongruence import Anticongruence, EqClass, Identity, identity_of
 from .freeness import Basis, Letters, hull_letters, rank
 from .pseudo import NotInMonoid, PseudoFreeBasis, class_reps
 from .words import (
@@ -211,35 +214,86 @@ class PseudoVerdict:
     rhs_language: FiniteLanguage
 
 
-def _side_letters(
+def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
+    """The error product_letters raises on the first step of a side product over limit."""
+    acc = 1
+    for s in sizes:
+        if acc * s > limit:
+            break
+        acc *= s
+    return ProductLimitExceeded(f"product of {acc} x {s} words exceeds limit {limit}")
+
+
+_first = operator.itemgetter(0)
+
+
+def _least_common(
+    side: Sequence[tuple[Letters, ...]], other: Sequence[tuple[Letters, ...]]
+) -> Optional[Letters]:
+    """The least word in both products of classes, None when they share no word.
+
+    A class is given as its sorted members, all of one length. The side
+    with the smaller product of class sizes is built left to right, and a
+    word is dropped as soon as its piece under a block of the other side
+    lies outside that block's class, so the words that survive are the
+    common ones, in order. Callers check the product guard first.
+    """
+    p_side, p_other = math.prod(map(len, side)), math.prod(map(len, other))
+    if p_other < p_side:
+        side, other, p_other = other, side, p_side
+    if p_other == 1:  # one word on each side
+        word = sum(map(_first, side), ())
+        return word if word == sum(map(_first, other), ()) else None
+    cuts = [*itertools.accumulate((len(c[0]) for c in other), initial=0)]
+    built: list[Letters] = [()]
+    pos = k = 0
+    for c in side:
+        built = [u + v for u in built for v in c]
+        pos += len(c[0])
+        while k < len(other) and cuts[k + 1] <= pos:
+            a, b = cuts[k], cuts[k + 1]
+            built = [u for u in built if u[a:b] in other[k]]
+            k += 1
+        if not built:
+            return None
+    return built[0] if pos == cuts[-1] else None
+
+
+def _side_classes(
     side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int
-) -> list[Letters]:
-    # class members are sorted and of one length, so each product stays sorted and distinct
-    syms = unknowns.symbols
-    acc: list[Letters] = [()]
+) -> list[tuple[Letters, ...]]:
+    """The sorted class members of each occurrence on a side, in order. The
+    first occurrence with no image, or that takes the product of class sizes
+    over limit, raises MissingImage or product_letters' ProductLimitExceeded."""
+    syms, images, class_letters = unknowns.symbols, psol.images, psol.rel.class_letters
+    out: list[tuple[Letters, ...]] = []
+    acc = 1
     for i in side.letters:
-        name = syms[i]
-        if name not in psol.images:
-            raise MissingImage(f"no image for unknown {name}")
-        acc = product_letters(acc, psol.rel.class_letters(psol.images[name].rep.letters), limit)
-    return acc
-
-
-def _sides(
-    e: Equation, psol: PseudoSolution, limit: int
-) -> tuple[list[Letters], list[Letters], Optional[Letters]]:
-    """Both sorted side languages and the least word they share, None when they are disjoint."""
-    lhs = _side_letters(e.lhs, e.unknowns, psol, limit)
-    rhs = _side_letters(e.rhs, e.unknowns, psol, limit)
-    right = set(rhs)
-    return lhs, rhs, next((w for w in lhs if w in right), None)
+        c = images.get(syms[i])
+        if c is None:
+            raise MissingImage(f"no image for unknown {syms[i]}")
+        m = class_letters(c.rep.letters)
+        out.append(m)
+        acc *= len(m)
+        if acc > limit:
+            raise _guard_error([len(m) for m in out], limit)
+    return out
 
 
 def check_pseudo_solution(
     e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> PseudoVerdict:
     """Materialize both side languages and look for a shared word."""
-    lhs, rhs, common = _sides(e, psol, limit)
+    sides = []
+    for side in (e.lhs, e.rhs):
+        # class members are sorted and of one length, so each product stays sorted and distinct
+        acc: list[Letters] = [()]
+        for m in _side_classes(side, e.unknowns, psol, limit):
+            acc = product_letters(acc, m, limit)
+        sides.append(acc)
+    lhs, rhs = sides
+    right = set(rhs)
+    common = next((w for w in lhs if w in right), None)
     alphabet = psol.rel.alphabet
     return PseudoVerdict(
         common is not None,
@@ -349,7 +403,9 @@ def _descent(
 ) -> tuple[Letters, tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
     """descend on letter tuples: the least word both sides share, the hull
     basis, its class representatives and each unknown's image as class indices."""
-    common = _sides(e, psol, limit)[2]
+    common = _least_common(
+        _side_classes(e.lhs, e.unknowns, psol, limit), _side_classes(e.rhs, e.unknowns, psol, limit)
+    )
     if common is None:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
     rel = psol.rel
@@ -407,7 +463,8 @@ def _representatives(
     """Shortlex canonical representatives of rel up to max_len and their sorted class members.
 
     Stops after budget + 1 classes: with that many the budget already runs
-    out inside the first prefix of the walk, which examines no class past it.
+    out among the assignments that differ from the first one only in the
+    last unknown, and no assignment past them is examined.
     """
     k = len(rel.alphabet)
     words: list[Letters] = []
@@ -423,28 +480,47 @@ def _representatives(
     return words, members
 
 
-def _filler(segments: list[tuple[int, ...]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """w -> segments[0] w segments[1] w ... segments[-1]."""
-    if len(segments) == 2:
-        return lambda w, a=segments[0], b=segments[1]: a + w + b
-
-    def fill(w: tuple[int, ...]) -> tuple[int, ...]:
-        out = segments[0]
-        for s in segments[1:]:
-            out = out + w + s
-        return out
-
-    return fill
+Window = tuple[int, int]  # a piece [a, b) of an occurrence
 
 
-def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
-    """The error product_letters raises on the first step of a side product over limit."""
-    acc = 1
-    for s in sizes:
-        if acc * s > limit:
-            break
-        acc *= s
-    return ProductLimitExceeded(f"product of {acc} x {s} words exceeds limit {limit}")
+@functools.lru_cache(maxsize=256)
+def _cut_plans(lhs: Letters, rhs: Letters, n: int, lengths: tuple[int, ...]) -> tuple:
+    """Each vector of n unknown lengths drawn from lengths that balances the
+    sides lhs and rhs, in lexicographic order, with its cuts.
+
+    The occurrence boundaries of both sides cut the word into segments, and
+    each segment lies under one occurrence on each side. Per unknown, the
+    cuts hold the pairs of its own windows that lie under one segment, and
+    a (window, earlier unknown, its window) for each segment it shares with
+    an earlier unknown. Cached because both phases of a certificate walk
+    the same vectors.
+    """
+    out = []
+    for vec in itertools.product(lengths, repeat=n):
+        ends_l = [*itertools.accumulate(map(vec.__getitem__, lhs), initial=0)]
+        ends_r = [*itertools.accumulate(map(vec.__getitem__, rhs), initial=0)]
+        end = ends_l[-1]
+        if end != ends_r[-1]:
+            continue
+        cuts: list[tuple[dict, dict]] = [({}, {}) for _ in range(n)]
+        i = j = a = 0
+        while a < end:
+            while ends_l[i + 1] <= a:  # skip the occurrences of length 0
+                i += 1
+            while ends_r[j + 1] <= a:
+                j += 1
+            b = min(ends_l[i + 1], ends_r[j + 1])
+            u, wu = lhs[i], (a - ends_l[i], b - ends_l[i])
+            v, wv = rhs[j], (a - ends_r[j], b - ends_r[j])
+            if (u, wu) > (v, wv):
+                u, wu, v, wv = v, wv, u, wu
+            if u != v:
+                cuts[v][1][wv, u, wu] = None
+            elif wu != wv:
+                cuts[u][0][wu, wv] = None
+            a = b
+        out.append((vec, tuple((tuple(own), tuple(shared)) for own, shared in cuts)))
+    return tuple(out)
 
 
 def enumerate_pseudo_solutions(
@@ -458,107 +534,188 @@ def enumerate_pseudo_solutions(
 
     Assignments run in lexicographic order over the shortlex canonical
     representatives, one class per representative, unknowns in declaration
-    order. The walk fixes all unknowns but the last and then only tries
-    the representatives of the one length that balances the two sides;
-    each of those leaves is decided by comparing words when all its
-    classes are singletons, else by building one side and testing its
-    words block by block against the classes of the other. Before a side
-    is built, the product of its class sizes is compared with limit
-    (ProductLimitExceeded). budget caps the number of assignments examined
-    in lexicographic order, the ones skipped for their length included:
-    the leaf prefix + (j,) is assignment rank·R + j, counted from 0, where
-    rank is the prefix's position in product order and R the number of
-    representatives, so a leaf is tested only when rank·R + j < budget.
-    Exceeding the budget raises BudgetExceeded with progress counts. Word
-    and EqClass objects are built only for emitted solutions.
+    order. The walk takes one vector of unknown lengths that balances the
+    two sides at a time and cuts both sides at their occurrence boundaries
+    (_cut_plans). A word in both side products has one piece on each
+    segment between cuts, and that piece is a piece of a class member of
+    both of the segment's owners. So once both owners are assigned, the
+    classes of their members' pieces must meet; under an anticongruence
+    the pieces of one class's members lie in one class. Each unknown's
+    candidates are read from an index of the representatives of its length
+    keyed by those piece classes, and every leaf is decided exactly by
+    _least_common. The streams of all vectors are merged in lexicographic
+    order.
+
+    Before a side is built, the product of its class sizes is compared
+    with limit: the first length-balanced assignment with a side over limit
+    raises ProductLimitExceeded, whether or not the cuts prune it. budget
+    caps the number of assignments examined in lexicographic order, the
+    ones skipped for their lengths included: the assignment of indices t
+    is number Σ t_u·R^(n−1−u), counted from 0, where R is the number of
+    representatives, and only the ones below budget are tested. Exceeding
+    the budget raises BudgetExceeded with progress counts. Word and EqClass
+    objects are built only for emitted solutions.
     """
     names = e.unknowns.symbols
-    last = len(names) - 1
+    n = len(names)
     lhs, rhs = e.lhs.letters, e.rhs.letters
-    n_lhs, n_rhs = lhs.count(last), rhs.count(last)
     words, members = _representatives(rel, max_len, budget)
-    lens = [len(w) for w in words]
-    sizes = [len(m) for m in members]
-    index = {m: i for i, ms in enumerate(members) for m in ms}
-    n_reps = len(words)
-    classes: dict[int, EqClass] = {}
-    emitted = 0
-
-    def class_of(i: int) -> EqClass:
-        c = classes.get(i)
-        if c is None:
-            c = classes[i] = EqClass(rel, Word(rel.alphabet, words[i]))
-        return c
-
-    def segments(side: tuple[int, ...], prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-        out = [()]
-        for u in side:
-            if u == last:
-                out.append(())
-            else:
-                out[-1] += words[prefix[u]]
-        return out
-
-    def decide(side: list[int], other: list[int]) -> bool:
-        # build side's product left to right (solved checked it against limit), dropping a
-        # word as soon as one of other's blocks lies inside it and is not in that block's class
-        blocks, pos = [], 0
-        for c in other:
-            if lens[c]:
-                blocks.append((pos, pos + lens[c], c))
-                pos += lens[c]
-        built, pos, k = [()], 0, 0
-        for c in side:
-            built = product_letters(built, members[c], limit)
-            pos += lens[c]
-            while k < len(blocks) and blocks[k][1] <= pos:
-                a, b, d = blocks[k]
-                built = [u for u in built if index.get(u[a:b]) == d]
-                k += 1
-            if not built:
-                return False
-        return True
-
-    def solved(prefix: tuple[int, ...], js: range) -> Iterator[int]:
-        # the j in js that make prefix + (j,) a pseudo-solution, guards checked in order
-        fixed_l = math.prod(sizes[prefix[u]] for u in lhs if u != last)
-        fixed_r = math.prod(sizes[prefix[u]] for u in rhs if u != last)
-
-        def general(j: int) -> bool:
-            side_l = [j if u == last else prefix[u] for u in lhs]
-            side_r = [j if u == last else prefix[u] for u in rhs]
-            p_l, p_r = fixed_l * sizes[j] ** n_lhs, fixed_r * sizes[j] ** n_rhs
-            for p, side in ((p_l, side_l), (p_r, side_r)):
-                if p > limit and p > 1:
-                    raise _guard_error([sizes[c] for c in side], limit)
-            return decide(side_l, side_r) if p_l <= p_r else decide(side_r, side_l)
-
-        if fixed_l == fixed_r == 1:
-            fill_l, fill_r = _filler(segments(lhs, prefix)), _filler(segments(rhs, prefix))
-            return (
-                j for j in js
-                if (fill_l(words[j]) == fill_r(words[j]) if sizes[j] == 1 else general(j))
-            )
-        return filter(general, js)
-
     if not words:
         return  # max_len < 0: no representatives
-    for rank, prefix in enumerate(itertools.product(range(n_reps), repeat=last)):
-        gap = sum(lens[prefix[u]] for u in rhs if u != last)
-        gap -= sum(lens[prefix[u]] for u in lhs if u != last)
-        # the lengths of the last unknown that balance the two sides, as [lo_len, hi_len)
-        if n_lhs == n_rhs:
-            lo_len, hi_len = (0, max_len + 1) if gap == 0 else (0, 0)
-        else:
-            length, rest = divmod(gap, n_lhs - n_rhs)
-            lo_len, hi_len = (0, 0) if rest else (length, length + 1)
-        left = n_reps if budget is None else budget - rank * n_reps  # leaves within budget
-        lo, hi = bisect.bisect_left(lens, lo_len), bisect.bisect_left(lens, hi_len)
-        for j in solved(prefix, range(lo, min(hi, left))):
+    n_reps = len(words)
+    sizes = [len(m) for m in members]
+    spans: dict[int, list[int]] = {}  # length -> its representatives, in order
+    for i, w in enumerate(words):
+        spans.setdefault(len(w), []).append(i)
+    weights = [n_reps ** (n - 1 - u) for u in range(n)]
+    total = n_reps**n
+    bound = total if budget is None else max(min(budget, total), 0)
+    lim = max(limit, 1)  # a side of single words is never over the guard
+    counts = [(lhs.count(u), rhs.count(u)) for u in range(n)]
+    guarded = max(sizes) ** max(len(lhs), len(rhs)) > lim
+    piece_rows: dict[Window, list] = {}
+    indexes: dict[tuple[int, Window], dict[Letters, list[int]]] = {}
+    steps: dict[tuple, tuple] = {}
+    classes: list[Optional[EqClass]] = [None] * n_reps
+
+    def piece_classes(x: int, w: Window) -> tuple[Letters, ...]:
+        # the classes (least members) of the pieces at w of the members of x's class
+        row = piece_rows.get(w)
+        if row is None:
+            row = piece_rows[w] = [None] * n_reps
+        found = row[x]
+        if found is None:
+            a, b = w
+            found = row[x] = tuple({rel.class_letters(m[a:b])[0] for m in members[x]})
+        return found
+
+    def index(length: int, w: Window) -> dict[Letters, list[int]]:
+        # the representatives of length, in order, under each class of their pieces at w
+        found = indexes.get((length, w))
+        if found is None:
+            found = indexes[length, w] = {}
+            for x in spans[length]:
+                for k in piece_classes(x, w):
+                    found.setdefault(k, []).append(x)
+        return found
+
+    def step(length: int, own: tuple, shared: tuple) -> tuple:
+        # an unknown's representatives, the set of those whose own windows
+        # meet (None when it has none) and its (index, earlier unknown, window)
+        key = (length, own, shared)
+        found = steps.get(key)
+        if found is None:
+            span = spans[length]
+            fit = None
+            if own:
+                fit = {x for x in span if all(
+                    set(piece_classes(x, w1)).intersection(piece_classes(x, w2)) for w1, w2 in own)}
+            found = steps[key] = (span, fit, [(index(length, w), u, wu) for w, u, wu in shared])
+        return found
+
+    def over_limit(vec: tuple[int, ...]) -> Optional[tuple[int, ProductLimitExceeded]]:
+        # the number and guard error of the first assignment of lengths vec
+        # below bound with a side over the guard, if any
+        top = [max(sizes[x] for x in spans[vec[u]]) for u in range(n)]
+        rest = [(1, 1)] * (n + 1)  # the largest side products of the unknowns from d on
+        for d in reversed(range(n)):
+            c_l, c_r = counts[d]
+            rest[d] = (rest[d + 1][0] * top[d] ** c_l, rest[d + 1][1] * top[d] ** c_r)
+        t = [0] * n
+
+        def first(d: int, rank: int, p_l: int, p_r: int) -> Optional[int]:
+            if d == n:
+                return rank
+            span = spans[vec[d]]
+            for x in span[: bisect.bisect_left(span, -(-(bound - rank) // weights[d]))]:
+                q_l, q_r = p_l * sizes[x] ** counts[d][0], p_r * sizes[x] ** counts[d][1]
+                if q_l * rest[d + 1][0] > lim or q_r * rest[d + 1][1] > lim:
+                    t[d] = x
+                    found = first(d + 1, rank + x * weights[d], q_l, q_r)
+                    if found is not None:
+                        return found
+            return None
+
+        rank = first(0, 0, 1, 1)
+        if rank is None:
+            return None
+        side = lhs if math.prod(sizes[t[u]] for u in lhs) > lim else rhs
+        return rank, _guard_error([sizes[t[u]] for u in side], limit)
+
+    def solutions(plan: list, stop: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+        # (number, indices) of a vector's pseudo-solutions numbered below stop,
+        # in batches that share all unknowns but the last
+        t = [0] * n
+
+        def candidates(d: int, rank: int) -> Sequence[int]:
+            span, fit, shared = plan[d]
+            cands = span
+            for table, u, wu in shared:
+                ks = piece_classes(t[u], wu)
+                if len(ks) == 1:
+                    found = table.get(ks[0], ())
+                else:
+                    found = sorted(set().union(*(table.get(k, ()) for k in ks)))
+                if cands is not span:
+                    keep = set(found)
+                    found = [x for x in cands if x in keep]
+                cands = found
+            if fit is not None:
+                cands = [x for x in cands if x in fit]
+            if cands and rank + cands[-1] * weights[d] >= stop:
+                cands = cands[: bisect.bisect_left(cands, -(-(stop - rank) // weights[d]))]
+            return cands
+
+        def leaves(rank: int) -> list[tuple[int, tuple[int, ...]]]:
+            # the last unknown's candidates, each decided exactly
+            out = []
+            for x in candidates(n - 1, rank):
+                t[-1] = x
+                sides = [members[t[u]] for u in lhs], [members[t[u]] for u in rhs]
+                if _least_common(*sides) is not None:
+                    out.append((rank + x, tuple(t)))
+            return out
+
+        def walk(d: int, rank: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+            weight = weights[d]
+            for x in candidates(d, rank):
+                t[d] = x
+                if d < n - 2:
+                    yield from walk(d + 1, rank + x * weight)
+                elif batch := leaves(rank + x * weight):
+                    yield batch
+
+        if n > 1:
+            return walk(0, 0)
+        return iter([batch] if (batch := leaves(0)) else [])
+
+    def stream(vec: tuple[int, ...], cuts: tuple) -> Iterator[list[tuple[int, object]]]:
+        # the vector's solutions up to its first assignment over the guard, then that one
+        plan = [step(length, own, shared) for length, (own, shared) in zip(vec, cuts)]
+        over = over_limit(vec) if guarded else None
+        if over is None:
+            return solutions(plan, bound)
+        return itertools.chain(solutions(plan, over[0]), ([over],))
+
+    vectors = _cut_plans(lhs, rhs, n, tuple(sorted(spans)))
+    streams = [stream(vec, cuts) for vec, cuts in vectors]
+    emitted = 0
+    # the first n - 1 indices and the last unknown's length fix the vector, so
+    # the numbers of two batches never interleave and merging by the first suffices
+    for batch in heapq.merge(*streams, key=lambda batch: batch[0][0]):
+        for _, found in batch:
+            if isinstance(found, ProductLimitExceeded):
+                raise found
+            images = {}
+            for name, i in zip(names, found):
+                c = classes[i]
+                if c is None:
+                    c = classes[i] = EqClass(rel, Word(rel.alphabet, words[i]))
+                images[name] = c
             emitted += 1
-            yield PseudoSolution(rel, {n: class_of(i) for n, i in zip(names, prefix + (j,))})
-        if left < n_reps:
-            raise BudgetExceeded(f"assignment budget {budget} exceeded", max(budget, 0), emitted)
+            yield PseudoSolution(rel, images)
+    if bound < total:
+        raise BudgetExceeded(f"assignment budget {budget} exceeded", bound, emitted)
 
 
 @dataclass(frozen=True)
@@ -605,7 +762,7 @@ def bounded_rank_certificate(
     bounds of the true ranks; the witnesses are the first solutions
     attaining them in enumeration order.
     """
-    identity = Identity(sigma)
+    identity = identity_of(sigma)
     # under the identity on sigma the pseudo phase would repeat the ordinary walk
     reuse = rel == identity
     ordinary = enumerate_pseudo_solutions(

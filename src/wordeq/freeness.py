@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .anticongruence import Anticongruence, Identity
+from .anticongruence import Anticongruence, identity_of
 from .words import (
     Alphabet,
     EnumerationGuardExceeded,
@@ -198,7 +198,7 @@ def free_hull(words: Iterable[Word]) -> Basis:
     letters.discard(())
     if not letters:
         return Basis(())
-    basis = hull_letters(Identity(alphabet), frozenset(letters))
+    basis = hull_letters(identity_of(alphabet), frozenset(letters))
     return Basis(tuple(basis_words(alphabet, basis, given).values()))
 
 

@@ -22,6 +22,7 @@ from wordeq import (
     MissingImage,
     MorphicPermutation,
     NotClassClosed,
+    ProductLimitExceeded,
     PseudoSolution,
     RankCertificate,
     Word,
@@ -33,6 +34,7 @@ from wordeq import (
 )
 
 AB = Alphabet("ab")
+ABC = Alphabet("abc")
 # ab~ba without a~b: not cut-closed, so some pseudo-solutions fail to descend
 NOT_CUT_CLOSED = PairTable(AB, [((0, 1), (1, 0))])
 
@@ -134,6 +136,21 @@ class TestErrors:
         xyz = Alphabet("xyz")
         e = Equation(xyz, xyz.word("xy"), xyz.word("yx"))
         assert self.same(MissingImage, e, psol(self.swap, x="a", y="b")) == "no image for unknown z"
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            # the left side's first occurrence is over the guard before y is looked up
+            ("x y = y x", ProductLimitExceeded, "product of 1 x 3 words exceeds limit 2"),
+            ("y x = x y", MissingImage, "no image for unknown y"),
+        ],
+    )
+    def test_sides_checked_in_occurrence_order(self, text, error, message):
+        cycle = MorphicPermutation.from_cycles(ABC, "(a b c)")
+        p = psol(cycle, x="a")
+        got = view(lambda e, q: descend(e, q, limit=2), parse_equation(text), p)
+        assert got == view(lambda e, q: brute_descend(e, q, limit=2), parse_equation(text), p)
+        assert got == (error, message)
 
     def test_image_over_another_alphabet(self):
         e = parse_equation("x y = y x")

@@ -15,10 +15,13 @@ from oracles import brute_pseudo_solutions, brute_representatives
 from wordeq import (
     Alphabet,
     BudgetExceeded,
+    EqClass,
     FiniteTable,
     Identity,
     MorphicPermutation,
     ProductLimitExceeded,
+    PseudoSolution,
+    check_pseudo_solution,
     close_pairs,
     enumerate_pseudo_solutions,
     parse_equation,
@@ -108,6 +111,11 @@ def seeded_instances(seed=20, count=8):
 CLOSED_TABLE = FiniteTable(AB, [((1, 1), (1, 0)), ((1, 1), (0, 1))])
 INSTANCES = config_instances() + criterion_4_instances() + seeded_instances() + [
     ("x y = y x/closed bb~ba, bb~ab", parse_equation("x y = y x"), CLOSED_TABLE, 3),
+    ("x y z = z y x/(a b c)", parse_equation("x y z = z y x"),
+     MorphicPermutation.from_cycles(ABC, "(a b c)"), 3),
+    # a segment can lie under two occurrences of one unknown, as x under x
+    ("x x y = y x x/table a~b, ab~ba, aab~bba", parse_equation("x x y = y x x"),
+     FiniteTable(AB, [((0,), (1,)), ((0, 1), (1, 0)), ((0, 0, 1), (1, 1, 0))]), 3),
     # one unknown: the walk has a single, empty prefix
     ("x x = x/identity", parse_equation("x x = x"), Identity(AB), 3),
     ("x x = x/(a b)", parse_equation("x x = x"), MorphicPermutation(AB, (1, 0)), 3),
@@ -161,6 +169,22 @@ def test_same_sequence_budget_and_guard(name, e, rel, max_len):
             expect = outcome(brute_pseudo_solutions, e, rel, max_len, limit=limit)
             assert (expect[1] is not None) == (limit < boundary)
             assert outcome(enumerate_pseudo_solutions, e, rel, max_len, limit=limit) == expect
+
+
+def test_guard_trips_on_an_assignment_the_cuts_prune():
+    # under b~c, x = [a] and y = [ab] = {ab, ac} is the first assignment with a
+    # side over the limit; it is no pseudo-solution, and its pieces at the cut
+    # after x, a against b or c, already differ
+    e = parse_equation("x x = y")
+    rel = FiniteTable(ABC, [((1,), (2,))])
+    expect = outcome(brute_pseudo_solutions, e, rel, 2, limit=1)
+    assert expect == (
+        ["PseudoSolution(x->[ε], y->[ε])", "PseudoSolution(x->[a], y->[aa])"],
+        ("guard", "product of 1 x 2 words exceeds limit 1"),
+    )
+    assert outcome(enumerate_pseudo_solutions, e, rel, 2, limit=1) == expect
+    images = {"x": EqClass.of(rel, ABC.word("a")), "y": EqClass.of(rel, ABC.word("ab"))}
+    assert not check_pseudo_solution(e, PseudoSolution(rel, images)).valid
 
 
 def test_sweep_covers_every_shape():

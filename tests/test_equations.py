@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from wordeq import (
@@ -28,6 +31,9 @@ from wordeq import (
     product,
     solution_rank,
 )
+from wordeq.equations import _least_common
+
+from oracles import brute_product_letters
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -461,9 +467,60 @@ class TestProductGuardBoundary:
         e, p = parse_equation("x y = y x"), psol(swap_ab(), None, x="ab", y="a")
         self.assert_boundary(lambda limit: check_pseudo_solution(e, p, limit=limit), 4)
 
+    def test_descend(self):
+        # x y with x = [ab], y = [a] under the swap: at most 2 x 2 pairs
+        e, p = parse_equation("x y = y x"), psol(swap_ab(), None, x="ab", y="a")
+        self.assert_boundary(lambda limit: descend(e, p, limit=limit), 4)
+
     def test_enumerate_pseudo_solutions(self):
         # the classes up to length 1 are {ε} and {a, b}: at most 2 x 2 pairs
         e = parse_equation("x y = y x")
         self.assert_boundary(
             lambda limit: list(enumerate_pseudo_solutions(e, swap_ab(), 1, limit=limit)), 4
         )
+
+
+def random_class(rng, k, length=None):
+    """1-4 sorted members of one length (0-3) over k letters; ε's class is {ε}."""
+    n = rng.randint(0, 3) if length is None else length
+    universe = list(itertools.product(range(k), repeat=n))
+    return tuple(sorted(rng.sample(universe, min(len(universe), rng.randint(1, 4)))))
+
+
+def random_sides(rng):
+    """Two products of classes; half the time the second is cut from a word of the first."""
+    k = rng.randint(1, 3)
+    side = [random_class(rng, k) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        return side, [random_class(rng, k) for _ in range(rng.randint(0, 3))]
+    word = tuple(itertools.chain.from_iterable(rng.choice(c) for c in side))
+    other, pos = [], 0
+    while pos < len(word) or rng.random() < 0.2:
+        n = rng.randint(0, min(3, len(word) - pos))
+        c = random_class(rng, k, n)
+        other.append(tuple(sorted(set(c[:-1]) | {word[pos : pos + n]})))
+        pos += n
+    return side, other
+
+
+def test_least_common_matches_set_intersection():
+    # the one side-intersection primitive of the leaf test and the descent
+    rng = random.Random(10)
+    outcomes = set()
+    for _ in range(20000):
+        side, other = random_sides(rng)
+        langs = []
+        for classes in (side, other):
+            lang = {()}
+            for c in classes:
+                lang = brute_product_letters(lang, c, 10**6)
+            langs.append(lang)
+        common = langs[0] & langs[1]
+        expect = min(common) if common else None
+        assert _least_common(side, other) == expect, (side, other)
+        assert _least_common(other, side) == expect, (side, other)
+        lengths = [sum(len(c[0]) for c in classes) for classes in (side, other)]
+        outcomes.add((expect is not None, lengths[0] == lengths[1], ((),) in side + other))
+    # a common word, none at equal lengths and none at unequal ones, each with and without ε blocks
+    cases = [(True, True), (False, True), (False, False)]
+    assert outcomes == {(found, equal, eps) for found, equal in cases for eps in (True, False)}

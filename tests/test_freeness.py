@@ -15,6 +15,7 @@ from wordeq import (
     pseudo_free_hull,
     rank,
 )
+from wordeq import freeness
 from wordeq.words import least_factorization
 
 from oracles import PairTable, all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
@@ -126,6 +127,19 @@ class TestFreeHull:
         assert rank(words(ABC, "a", "bca", "abc")) == 2
         assert rank(words(AB, "aa", "aaa")) == 1
         assert rank([]) == 0
+
+    def test_one_identity_per_alphabet(self, monkeypatch):
+        # the hull cache keys on the relation, so each call's own Identity would stay alive there
+        seen = []
+
+        def record(rel, letters):
+            seen.append(rel)
+            return tuple(sorted(letters))
+
+        monkeypatch.setattr(freeness, "hull_letters", record)
+        free_hull(words(Alphabet("ab"), "ab", "ba"))
+        free_hull(words(Alphabet("ab"), "a", "b"))
+        assert len(seen) == 2 and seen[0] is seen[1]
 
 
 class TestAlphabetBoundary:
