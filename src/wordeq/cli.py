@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import NoReturn, Optional, TextIO
+from typing import Iterator, NoReturn, Optional, Sequence, TextIO
 
 from .anticongruence import (
     Anticongruence,
@@ -31,17 +32,18 @@ from .equations import (
     BudgetExceeded,
     Equation,
     PseudoSolution,
+    _least_common,
+    _side_classes,
+    _side_words,
     bounded_rank_certificate,
-    check_pseudo_solution,
     parse_equation,
 )
-from .freeness import rank
+from .freeness import Letters, rank
 from .pseudo import pseudo_free_hull
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     EnumerationGuardExceeded,
-    FiniteLanguage,
     ProductLimitExceeded,
     Word,
     WordEqError,
@@ -53,7 +55,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 HUMAN_TABLE_ROWS = 50
-SPELL_CHUNK = 4096  # words per bulk spelling pass, which bounds its peak memory
+SPELL_CHUNK = 4096  # side-language words per write, which bounds a report's peak memory
 
 
 class ConfigError(WordEqError):
@@ -195,33 +197,50 @@ def _mword(w: Word) -> str:
     return w.alphabet.spell(w.letters)
 
 
-def _mlang(lang: FiniteLanguage) -> list[str]:
-    """The spelled words of lang. Words of one length n >= 1 over at most 256 one-character
-    symbols are spelled in bulk: SPELL_CHUNK words per translate, cut every n letters."""
-    alphabet, words = lang.alphabet, lang.letters
-    n = len(words[0]) if words else 0
-    one_char = len(alphabet) <= 256 and len("".join(alphabet.symbols)) == len(alphabet)
-    if not (n and one_char and set(map(len, words)) == {n}):
-        return list(map(alphabet.spell, words))
-    table, out = dict(enumerate(alphabet.symbols)), []
-    for start in range(0, len(words), SPELL_CHUNK):
-        raw = bytes(itertools.chain.from_iterable(words[start : start + SPELL_CHUNK]))
-        text = raw.decode("latin-1").translate(table)
-        out += [text[i : i + n] for i in range(0, len(text), n)]
-    return out
-
-
 def _massign_class(images: dict[str, EqClass], order: tuple[str, ...]) -> dict[str, str]:
     return {x: _mword(images[x].rep) for x in order if x in images}
+
+
+@dataclass(frozen=True)
+class SideLanguage:
+    """A report's side language, held as the sorted members of its
+    occurrences' classes and spelled only while the report is written."""
+
+    alphabet: Alphabet
+    classes: Sequence[tuple[Letters, ...]]
+
+    def chunks(self, machine: bool) -> Iterator[str]:
+        """The spelled words in order, SPELL_CHUNK to a piece, separated by
+        ", ": JSON strings if machine, else bare words with ε for the empty one.
+
+        Each class member is spelled (and JSON-escaped, which works symbol by
+        symbol) once, after the symbol separator unless its class comes
+        first, and a word concatenates its members' pieces. The class of ε
+        adds nothing to a word, so it is left out of the product.
+        """
+        spell, sep = self.alphabet.spell, self.alphabet.sep
+        quote = (lambda text: json.dumps(text)[1:-1]) if machine else str
+        classes = [c for c in self.classes if c != ((),)]
+        pieces = [
+            tuple((sep if i else "") + quote(spell(m)) for m in c) for i, c in enumerate(classes)
+        ]
+        words = _side_words(pieces, "".join)
+        glue = '", "' if machine else ", "
+        for start in range(0, math.prod(map(len, pieces)), SPELL_CHUNK):
+            text = glue.join(itertools.islice(words, SPELL_CHUNK))
+            if start:
+                yield ", "
+            yield f'"{text}"' if machine else text or "ε"
 
 
 @dataclass
 class Report:
     """Command outcome: an ordered key/value document plus an exit code.
 
-    data must stay JSON-serializable and deterministically ordered; the
-    elapsed time is carried separately so that emitted reports stay
-    byte-identical across runs.
+    data must stay deterministically ordered and JSON-serializable, except
+    that a top-level value may be a SideLanguage, which write() streams a
+    chunk at a time. The elapsed time is carried separately so that
+    emitted reports stay byte-identical across runs.
     """
 
     data: dict
@@ -229,10 +248,45 @@ class Report:
     elapsed_ms: float = 0.0
 
     def machine_text(self) -> str:
-        return json.dumps(self.data, ensure_ascii=True)
+        return "".join(self._pieces(machine=True))
 
     def human_text(self) -> str:
-        return "\n".join(self._human_lines(self.data, prefix=""))
+        return "".join(self._pieces(machine=False))
+
+    def write(self, out: TextIO, machine: bool) -> None:
+        """Write the text and a newline to out: in one write, or a piece at a
+        time when data holds a SideLanguage."""
+        if not self._streamed():
+            out.write((self.machine_text() if machine else self.human_text()) + "\n")
+            return
+        for piece in self._pieces(machine):
+            out.write(piece)
+        out.write("\n")
+
+    def _streamed(self) -> bool:
+        return any(isinstance(v, SideLanguage) for v in self.data.values())
+
+    def _pieces(self, machine: bool) -> Iterator[str]:
+        # one piece, or one per top-level key with side languages in chunks
+        if not self._streamed():
+            yield json.dumps(self.data, ensure_ascii=True) if machine else self._human(self.data)
+            return
+        for i, (key, value) in enumerate(self.data.items()):
+            if machine:
+                yield (", " if i else "{") + json.dumps(key) + ": "
+            elif i:
+                yield "\n"
+            if not isinstance(value, SideLanguage):
+                yield json.dumps(value, ensure_ascii=True) if machine else self._human({key: value})
+                continue
+            yield "[" if machine else f"{key}: {{"
+            yield from value.chunks(machine)
+            yield "]" if machine else "}"
+        if machine:
+            yield "}"
+
+    def _human(self, obj: dict) -> str:
+        return "\n".join(self._human_lines(obj, prefix=""))
 
     def _human_lines(self, obj: dict, prefix: str) -> list[str]:
         lines = []
@@ -283,7 +337,9 @@ def cmd_hull(cfg: JobConfig) -> Report:
         "relation": cfg.rel_text,
         "words": [_mword(w) for w in sorted(set(words))],
         "basis": [_mword(w) for w in hull.basis_words],
-        "classes": {str(c): _mlang(c.language()) for c in hull.classes},
+        "classes": {
+            str(c): list(map(rel.alphabet.spell, c.language().letters)) for c in hull.classes
+        },
         "rank": ordinary,
         "pseudo_rank": hull.pseudo_rank(),
     }
@@ -298,19 +354,21 @@ def cmd_check(cfg: JobConfig) -> Report:
     if missing:
         raise ConfigError(f"{cfg.path}: assign misses unknowns: {', '.join(missing)}")
     psol = PseudoSolution(rel, {x: EqClass.of(rel, w) for x, w in cfg.assign.items()})
-    verdict = check_pseudo_solution(e, psol, limit=cfg.product_guard)
+    lhs = _side_classes(e.lhs, e.unknowns, psol, cfg.product_guard)
+    rhs = _side_classes(e.rhs, e.unknowns, psol, cfg.product_guard)
+    common = _least_common(lhs, rhs)
     data = {
         "command": "check",
         "alphabet": list(cfg.alphabet.symbols),
         "relation": cfg.rel_text,
         "equation": cfg.equation_text,
         "assign": _massign_class(psol.images, e.unknowns.symbols),
-        "valid": verdict.valid,
-        "common": _mword(verdict.common) if verdict.common is not None else None,
-        "lhs_language": _mlang(verdict.lhs_language),
-        "rhs_language": _mlang(verdict.rhs_language),
+        "valid": common is not None,
+        "common": rel.alphabet.spell(common) if common is not None else None,
+        "lhs_language": SideLanguage(rel.alphabet, lhs),
+        "rhs_language": SideLanguage(rel.alphabet, rhs),
     }
-    return Report(data, EXIT_PASS if verdict.valid else EXIT_FAIL)
+    return Report(data, EXIT_PASS if common is not None else EXIT_FAIL)
 
 
 def cmd_search(cfg: JobConfig) -> Report:
@@ -468,7 +526,9 @@ def main(
     except WordEqError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
-    print(report.machine_text() if args.machine else report.human_text(), file=out)
+    started = time.perf_counter()
+    report.write(out, args.machine)
+    report.elapsed_ms += (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms: {report.elapsed_ms:.1f}", file=err)
     return report.exit_code
 

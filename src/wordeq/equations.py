@@ -17,7 +17,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .anticongruence import Anticongruence, EqClass, Identity, identity_of
 from .freeness import Basis, Letters, hull_letters, rank
@@ -30,7 +30,6 @@ from .words import (
     Word,
     WordEqError,
     least_factorization,
-    product_letters,
 )
 
 
@@ -224,6 +223,32 @@ def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
     return ProductLimitExceeded(f"product of {acc} x {s} words exceeds limit {limit}")
 
 
+def _require_limit(limit: int) -> None:
+    """The product limit rule: below 1 no side fits, so such a limit is
+    rejected before any work, the same way by every function that takes one."""
+    if limit < 1:
+        raise ValueError(f"product limit must be at least 1, got {limit}")
+
+
+def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any]) -> Iterator:
+    """The words of a side, one member of each class concatenated, one at a
+    time in the order of itertools.product.
+
+    join concatenates a tuple of members; a word is the join of its
+    members in all classes but the last, plus (+) its last member. Given
+    each class's members sorted and of one length, as class_letters gives
+    them, the words come sorted and distinct: two tuples of members first
+    differ in one class, and there the two members start at the same
+    position and differ within their common length. So a side language is
+    read in order without ever being held whole. The members may also be
+    stand-ins such as spelled pieces, as long as their order is kept.
+    """
+    if not classes:
+        return iter([join(())])
+    *head, last = classes
+    return (p + m for p in map(join, itertools.product(*head)) for m in last)
+
+
 _first = operator.itemgetter(0)
 
 
@@ -283,23 +308,19 @@ def _side_classes(
 def check_pseudo_solution(
     e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> PseudoVerdict:
-    """Materialize both side languages and look for a shared word."""
-    sides = []
-    for side in (e.lhs, e.rhs):
-        # class members are sorted and of one length, so each product stays sorted and distinct
-        acc: list[Letters] = [()]
-        for m in _side_classes(side, e.unknowns, psol, limit):
-            acc = product_letters(acc, m, limit)
-        sides.append(acc)
-    lhs, rhs = sides
-    right = set(rhs)
-    common = next((w for w in lhs if w in right), None)
+    """Materialize both side languages and their least common word. A limit
+    below 1 raises ValueError."""
+    _require_limit(limit)
+    lhs = _side_classes(e.lhs, e.unknowns, psol, limit)
+    rhs = _side_classes(e.rhs, e.unknowns, psol, limit)
+    common = _least_common(lhs, rhs)
     alphabet = psol.rel.alphabet
+    concat = functools.partial(sum, start=())
     return PseudoVerdict(
         common is not None,
         None if common is None else Word(alphabet, common),
-        FiniteLanguage(alphabet, tuple(lhs)),
-        FiniteLanguage(alphabet, tuple(rhs)),
+        FiniteLanguage(alphabet, tuple(_side_words(lhs, concat))),
+        FiniteLanguage(alphabet, tuple(_side_words(rhs, concat))),
     )
 
 
@@ -445,8 +466,10 @@ def descend(
     alphabet. Raises InvalidPseudoSolution for disjoint sides, and
     DescentFailed unless the result solves the equation and its rank
     equals the number of hull classes. The work runs on letter tuples;
-    Word, EqClass and Alphabet objects are built only for the result.
+    Word, EqClass and Alphabet objects are built only for the result. A
+    limit below 1 raises ValueError.
     """
+    _require_limit(limit)
     common, basis, reps, images = _descent(e, psol, limit)
     hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
@@ -554,8 +577,10 @@ def enumerate_pseudo_solutions(
     is number Σ t_u·R^(n−1−u), counted from 0, where R is the number of
     representatives, and only the ones below budget are tested. Exceeding
     the budget raises BudgetExceeded with progress counts. Word and EqClass
-    objects are built only for emitted solutions.
+    objects are built only for emitted solutions. A limit below 1 raises
+    ValueError on the first next(), before any representative is built.
     """
+    _require_limit(limit)
     names = e.unknowns.symbols
     n = len(names)
     lhs, rhs = e.lhs.letters, e.rhs.letters
@@ -570,9 +595,8 @@ def enumerate_pseudo_solutions(
     weights = [n_reps ** (n - 1 - u) for u in range(n)]
     total = n_reps**n
     bound = total if budget is None else max(min(budget, total), 0)
-    lim = max(limit, 1)  # a side of single words is never over the guard
     counts = [(lhs.count(u), rhs.count(u)) for u in range(n)]
-    guarded = max(sizes) ** max(len(lhs), len(rhs)) > lim
+    guarded = max(sizes) ** max(len(lhs), len(rhs)) > limit
     piece_rows: dict[Window, list] = {}
     indexes: dict[tuple[int, Window], dict[Letters, list[int]]] = {}
     steps: dict[tuple, tuple] = {}
@@ -629,7 +653,7 @@ def enumerate_pseudo_solutions(
             span = spans[vec[d]]
             for x in span[: bisect.bisect_left(span, -(-(bound - rank) // weights[d]))]:
                 q_l, q_r = p_l * sizes[x] ** counts[d][0], p_r * sizes[x] ** counts[d][1]
-                if q_l * rest[d + 1][0] > lim or q_r * rest[d + 1][1] > lim:
+                if q_l * rest[d + 1][0] > limit or q_r * rest[d + 1][1] > limit:
                     t[d] = x
                     found = first(d + 1, rank + x * weights[d], q_l, q_r)
                     if found is not None:
@@ -639,7 +663,7 @@ def enumerate_pseudo_solutions(
         rank = first(0, 0, 1, 1)
         if rank is None:
             return None
-        side = lhs if math.prod(sizes[t[u]] for u in lhs) > lim else rhs
+        side = lhs if math.prod(sizes[t[u]] for u in lhs) > limit else rhs
         return rank, _guard_error([sizes[t[u]] for u in side], limit)
 
     def solutions(plan: list, stop: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
@@ -760,8 +784,10 @@ def bounded_rank_certificate(
     letter tuples (descend without its result objects) and a failure is
     recorded with the pseudo-rank read off the hull. The maxima are lower
     bounds of the true ranks; the witnesses are the first solutions
-    attaining them in enumeration order.
+    attaining them in enumeration order. A limit below 1 raises
+    ValueError.
     """
+    _require_limit(limit)
     identity = identity_of(sigma)
     # under the identity on sigma the pseudo phase would repeat the ordinary walk
     reuse = rel == identity

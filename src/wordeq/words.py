@@ -40,7 +40,7 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
-    _sep: str = field(init=False, repr=False, compare=False, hash=False)
+    sep: str = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -54,7 +54,7 @@ class Alphabet:
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(syms)})
         # single-character symbols are written side by side, longer ones spaced
-        object.__setattr__(self, "_sep", "" if all(len(s) == 1 for s in syms) else " ")
+        object.__setattr__(self, "sep", "" if all(len(s) == 1 for s in syms) else " ")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -82,7 +82,7 @@ class Alphabet:
 
     def spell(self, letters: Sequence[int]) -> str:
         """The symbols of letters as str(Word) writes them; "" for the empty word."""
-        return self._sep.join(map(self.symbols.__getitem__, letters))
+        return self.sep.join(map(self.symbols.__getitem__, letters))
 
     def epsilon(self) -> Word:
         return Word(self, ())

@@ -10,11 +10,14 @@ on Word objects) for the letter-level descent, and brute_closed_pairs
 brute_verify_axioms for the one-pass axiom check. brute_product_letters
 and brute_side_letters are the former set products, so the side-language
 checks share no code with the sorted list products they check.
+brute_check_report renders a check report whole, the way the CLI did
+before it streamed side languages.
 PairTable is a test double for relations that are not anticongruences.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from typing import Optional
 
@@ -39,12 +42,20 @@ from wordeq import (
     Solution,
     Word,
     WordEqError,
+    check_pseudo_solution,
     check_solution,
     factorizations,
     pseudo_free_hull,
     solution_rank,
 )
+from wordeq.cli import parse_config
 from wordeq.equations import _class_symbols
+
+
+def brute_require_limit(limit: int) -> None:
+    """The product limit rule: a limit below 1 is refused before any work."""
+    if limit < 1:
+        raise ValueError(f"product limit must be at least 1, got {limit}")
 
 
 def brute_product_letters(a, b, limit: int) -> set[tuple[int, ...]]:
@@ -256,6 +267,7 @@ def brute_pseudo_solutions(e, rel, max_len, budget=None, limit=DEFAULT_PRODUCT_L
     Side languages are memoized per prefix of class indices; budget counts
     every assignment, the ones pruned by side length included.
     """
+    brute_require_limit(limit)
     names = e.unknowns.symbols
     reps = brute_representatives(rel, max_len)
     classes = [EqClass(rel, w) for w in reps]
@@ -335,6 +347,7 @@ def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     """The library's former descend, on Word objects: hull of the union members,
     brute_class_factorization of each image, a fresh class alphabet, and the
     solution and rank checks through check_solution and solution_rank."""
+    brute_require_limit(limit)
     common = brute_side_letters(e.lhs, e.unknowns, psol, limit) & brute_side_letters(
         e.rhs, e.unknowns, psol, limit
     )
@@ -404,3 +417,44 @@ def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT) -> Ra
         pseudo_ranks=tuple(ranks),
         descent_failures=tuple(failures),
     )
+
+
+def brute_check_report(path: str, machine: bool) -> tuple[int, str]:
+    """The exit code and stdout of `wordeq check` on the config at path, built
+    whole: both side languages materialized by check_pseudo_solution, each
+    word spelled on its own by Alphabet.spell, and one json.dumps (machine)
+    or the human layout (lists in braces, ε for the empty word, - for none)."""
+    cfg = parse_config(path)
+    rel = cfg.rel if cfg.rel is not None else Identity(cfg.alphabet)
+    e = cfg.equation
+    psol = PseudoSolution(rel, {x: EqClass.of(rel, w) for x, w in cfg.assign.items()})
+    verdict = check_pseudo_solution(e, psol, limit=cfg.product_guard)
+    spell = rel.alphabet.spell
+    data = {
+        "command": "check",
+        "alphabet": list(cfg.alphabet.symbols),
+        "relation": cfg.rel_text,
+        "equation": cfg.equation_text,
+        "assign": {x: spell(psol.images[x].rep.letters) for x in e.unknowns.symbols},
+        "valid": verdict.valid,
+        "common": None if verdict.common is None else spell(verdict.common.letters),
+        "lhs_language": [spell(w) for w in verdict.lhs_language.letters],
+        "rhs_language": [spell(w) for w in verdict.rhs_language.letters],
+    }
+    if machine:
+        text = json.dumps(data, ensure_ascii=True)
+    else:
+        def scalar(v) -> str:
+            return "ε" if v == "" else "-" if v is None else str(v)
+
+        lines = []
+        for key, value in data.items():
+            if isinstance(value, list):
+                value = "{" + ", ".join(map(scalar, value)) + "}"
+            elif isinstance(value, dict):
+                value = ", ".join(f"{x}={scalar(w)}" for x, w in value.items())
+            else:
+                value = scalar(value)
+            lines.append(f"{key}: {value}")
+        text = "\n".join(lines)
+    return (0 if verdict.valid else 1), text + "\n"

@@ -1,0 +1,136 @@
+"""Differential sweep of the streamed `check` report against one built whole.
+
+`wordeq check` decides with the least common word and writes each side
+language a chunk at a time straight to stdout; oracles.brute_check_report
+materializes both sides through check_pseudo_solution and spells every
+word on its own. The two must agree byte for byte in --machine and human
+mode, over seeded configs with multi-character, non-ASCII and
+JSON-escaped symbols, ε images, invalid verdicts, sides that span
+several chunks and product guards that stop the check with the same
+message. The x^6 y = y x^6 run pins the memory that streaming
+saves: its two sides hold 279,936 words each.
+"""
+import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from oracles import brute_check_report, brute_side_letters
+from wordeq import EqClass, Identity, ProductLimitExceeded, PseudoSolution, check_pseudo_solution
+from wordeq import cli
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+X6Y = HERE / "x6y_6cycle.cfg"
+
+ALPHABETS = [
+    ("a", "b", "c"),
+    ("a1", "b1", "c1"),  # multi-character symbols, spelled with spaces
+    ("α", "β", "𝔞"),  # non-ASCII, one outside the BMP
+    ('"', "\\", "\x01"),  # symbols JSON must escape
+    ('q"', "b\\", "é"),  # both, spelled with spaces
+]
+EQUATIONS = ["x y = y x", "x y z = z y x", "x^2 y = y x^2", "x y = y", "x x y = y x x"]
+
+
+def seeded_config(rng):
+    symbols = rng.choice(ALPHABETS)
+    a, b, c = symbols
+    rel = rng.choice(["identity", f"permutation: ({a} {b} {c})", f"permutation: ({a} {b})",
+                      f"table: {a}~{b}"])
+    equation = rng.choice(EQUATIONS)
+    single = all(len(s) == 1 for s in symbols)
+    assign = []
+    for x in "xyz"[: 3 if "z" in equation else 2]:
+        # an image is a word of single-character symbols, or one symbol, or ε
+        n = rng.choice([0, 1, 1, 2, 3] if single else [0, 1, 1])
+        assign.append(f"{x}=" + "".join(rng.choice(symbols) for _ in range(n)))
+    guard = f"product_guard: {rng.randint(1, 12)}\n" if rng.random() < 0.25 else ""
+    return (f"alphabet: {' '.join(symbols)}\nrel: {rel}\nequation: {equation}\n"
+            f"assign: {' '.join(assign)}\n{guard}")
+
+
+def run_check(path, machine):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["check", "--config", path] + (["--machine"] if machine else []),
+                    out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def expected_check(path, machine):
+    """brute_check_report's exit code and stdout, or exit 3 and the guard
+    message, which names the first side over the guard, left side first."""
+    try:
+        return (*brute_check_report(path, machine), None)
+    except ProductLimitExceeded as exc:
+        return cli.EXIT_BUDGET, "", f"budget exhausted: {exc}\n"
+
+
+def test_streamed_report_matches_whole_report(tmp_path, monkeypatch):
+    rng = random.Random(11)
+    texts = [seeded_config(rng) for _ in range(150)]
+    texts += [
+        # one side of 4^7 = 16,384 words spans four chunks of the shipped size
+        "alphabet: a b c d\nrel: permutation: (a b c d)\n"
+        "equation: x^6 y = y x^6\nassign: x=ab y=a\n",
+        # both sides over the guard, x y at 2 x 3 words and y x at 3 x 2
+        "alphabet: a b c d e\nrel: permutation: (a b)(c d e)\nequation: x y = y x\n"
+        "assign: x=a y=c\nproduct_guard: 5\n",
+    ]
+    seen = set()
+    for i, text in enumerate(texts):
+        path = tmp_path / f"{i}.cfg"
+        path.write_text(text, encoding="utf-8")
+        chunk = rng.choice([1, 2, 3, 7, cli.SPELL_CHUNK]) if i < 150 else cli.SPELL_CHUNK
+        monkeypatch.setattr(cli, "SPELL_CHUNK", chunk)
+        for machine in (True, False):
+            code, out, err = run_check(str(path), machine)
+            expect = expected_check(str(path), machine)
+            assert (code, out) == expect[:2], text
+            assert expect[2] is None or err == expect[2], text
+        seen.add(("guard", code == cli.EXIT_BUDGET))
+        if code == cli.EXIT_BUDGET:
+            continue
+        # the materialized sides are the former set products, in order
+        cfg = cli.parse_config(str(path))
+        rel = cfg.rel if cfg.rel is not None else Identity(cfg.alphabet)
+        psol = PseudoSolution(rel, {x: EqClass.of(rel, w) for x, w in cfg.assign.items()})
+        verdict = check_pseudo_solution(cfg.equation, psol)
+        sides = [brute_side_letters(side, cfg.equation.unknowns, psol, 10**6)
+                 for side in (cfg.equation.lhs, cfg.equation.rhs)]
+        assert verdict.lhs_language.letters == tuple(sorted(sides[0]))
+        assert verdict.rhs_language.letters == tuple(sorted(sides[1]))
+        seen.add(("valid", verdict.valid))
+        seen.add(("chunks", max(map(len, sides)) > chunk))
+        seen.add(("ε image", any(not w for w in cfg.assign.values())))
+        seen.add(("escaped", any(s in cfg.alphabet.symbols for s in ('"', 'q"'))))
+        seen.add(("spaced", cfg.alphabet.sep == " "))
+    kinds = ("valid", "chunks", "ε image", "escaped", "spaced", "guard")
+    assert seen == {(kind, flag) for kind in kinds for flag in (True, False)}
+
+
+# Linux carries a process's peak RSS across fork and exec, so a child of the
+# test process would report at least the test process's own peak; a fresh
+# interpreter in between starts the CLI and reports its children's peak
+PEAK_OF_CHILD = """
+import resource, subprocess, sys
+code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_large_check_report_streams_in_bounded_memory():
+    # built whole, the two 279,936-word sides of this report peak at ~170 MB
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(X6Y), "--machine"]
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_CHILD, *cli_run],
+                          capture_output=True, text=True, env=env, check=True)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == cli.EXIT_PASS
+    assert peak_kib < 60 * 1024

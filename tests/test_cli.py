@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from wordeq import Alphabet, FiniteLanguage
+from wordeq import Alphabet
 from wordeq.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_PASS,
     ConfigError,
-    _mlang,
+    SideLanguage,
     main,
     parse_config,
     run_command,
@@ -184,19 +184,24 @@ class TestCheck:
     @pytest.mark.parametrize(
         "symbols, words",
         [
-            ("ab", [(0, 1), (1, 0), (1, 1)]),
-            ("ab", [(0, 1), (0, 1, 1), (1, 0)]),  # mixed lengths, equal at both ends
-            (("a1", "b1"), [(0, 1), (1, 1)]),  # multi-character symbols
-            ("αβγ", [(0, 2, 1), (2, 1, 0)]),  # non-ASCII symbols
-            ("abc", list(itertools.product(range(3), repeat=8))),  # several chunks
-            ("ab", [()]),
-            ("ab", []),
+            ("ab", [[(0, 1), (1, 0), (1, 1)]]),
+            ("ab", [[(0, 1), (1, 0)], [()], [(0,), (1,)]]),  # ε and unequal lengths between
+            (("a1", "b1"), [[(0,), (1,)], [()], [(1,)]]),  # multi-character symbols
+            ("αβγ", [[(0, 2, 1), (2, 1, 0)], [(1,)]]),  # non-ASCII symbols
+            ("abc", [[(0,), (1,), (2,)]] * 8),  # several chunks
+            ("ab", [[()]]),
+            ("ab", [[()], [()]]),
         ],
     )
     def test_bulk_spelling_matches_per_word(self, symbols, words):
+        # words holds a side's classes; the writer spells their product chunk
+        # by chunk, and must match the sorted product spelled word by word
         alphabet = Alphabet(symbols)
-        lang = FiniteLanguage.of_letters(alphabet, words)
-        assert _mlang(lang) == [alphabet.spell(w) for w in lang.letters]
+        side = SideLanguage(alphabet, [tuple(c) for c in words])
+        product = sorted({sum(p, ()) for p in itertools.product(*words)})
+        spelled = [alphabet.spell(w) for w in product]
+        assert json.loads("[" + "".join(side.chunks(machine=True)) + "]") == spelled
+        assert "".join(side.chunks(machine=False)) == ", ".join(w or "ε" for w in spelled)
 
     def test_missing_assignment(self, tmp_path):
         cfg = write(tmp_path, "alphabet: a b\nrel: identity\nequation: x y = y x\nassign: x=a\n")

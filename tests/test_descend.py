@@ -28,6 +28,7 @@ from wordeq import (
     Word,
     WordEqError,
     bounded_rank_certificate,
+    check_pseudo_solution,
     descend,
     enumerate_pseudo_solutions,
     parse_equation,
@@ -111,6 +112,25 @@ def test_hull_that_cannot_close_ends_the_certificate():
 
 def psol(rel, **reps):
     return PseudoSolution(rel, {x: EqClass.of(rel, rel.alphabet.word(w)) for x, w in reps.items()})
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_refused_like_the_oracle(limit):
+    # even a side of single words is over such a limit; every entry point
+    # refuses it with the oracle's message before any side is read
+    e, ident = parse_equation("x y = y x"), Identity(AB)
+    p = psol(ident, x="a", y="a")
+    runs = [
+        lambda: descend(e, p, limit=limit),
+        lambda: brute_descend(e, p, limit=limit),
+        lambda: check_pseudo_solution(e, p, limit=limit),
+        lambda: bounded_rank_certificate(e, AB, ident, 2, limit=limit),
+        lambda: brute_certificate(e, AB, ident, 2, limit=limit),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == f"product limit must be at least 1, got {limit}"
 
 
 class TestErrors:

@@ -123,7 +123,8 @@ INSTANCES = config_instances() + criterion_4_instances() + seeded_instances() + 
 
 
 def outcome(enumerate_, e, rel, max_len, **kwargs):
-    """Emitted reprs, then how the walk ended: None, budget counts or the guard message."""
+    """Emitted reprs, then how the walk ended: None, budget counts, the guard
+    message or the refusal of the limit."""
     seen = []
     try:
         for psol in enumerate_(e, rel, max_len, **kwargs):
@@ -132,6 +133,8 @@ def outcome(enumerate_, e, rel, max_len, **kwargs):
         return seen, ("budget", exc.examined, exc.emitted)
     except ProductLimitExceeded as exc:
         return seen, ("guard", str(exc))
+    except ValueError as exc:
+        return seen, ("refused", str(exc))
     return seen, None
 
 
@@ -169,6 +172,12 @@ def test_same_sequence_budget_and_guard(name, e, rel, max_len):
             expect = outcome(brute_pseudo_solutions, e, rel, max_len, limit=limit)
             assert (expect[1] is not None) == (limit < boundary)
             assert outcome(enumerate_pseudo_solutions, e, rel, max_len, limit=limit) == expect
+
+    # no side fits under a limit below 1, which is refused before anything is emitted
+    for limit in (0, -1):
+        expect = outcome(brute_pseudo_solutions, e, rel, max_len, limit=limit)
+        assert expect == ([], ("refused", f"product limit must be at least 1, got {limit}"))
+        assert outcome(enumerate_pseudo_solutions, e, rel, max_len, limit=limit) == expect
 
 
 def test_guard_trips_on_an_assignment_the_cuts_prune():

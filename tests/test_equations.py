@@ -31,7 +31,7 @@ from wordeq import (
     product,
     solution_rank,
 )
-from wordeq.equations import _least_common
+from wordeq.equations import _least_common, _side_words
 
 from oracles import brute_product_letters
 
@@ -504,7 +504,8 @@ def random_sides(rng):
 
 
 def test_least_common_matches_set_intersection():
-    # the one side-intersection primitive of the leaf test and the descent
+    # the one side-intersection primitive of the leaf test, the descent and check,
+    # and the one ordered side product
     rng = random.Random(10)
     outcomes = set()
     for _ in range(20000):
@@ -515,6 +516,9 @@ def test_least_common_matches_set_intersection():
             for c in classes:
                 lang = brute_product_letters(lang, c, 10**6)
             langs.append(lang)
+        for classes, lang in zip((side, other), langs):
+            # the side product read in order is the sorted set product
+            assert [*_side_words(classes, lambda p: sum(p, ()))] == sorted(lang), classes
         common = langs[0] & langs[1]
         expect = min(common) if common else None
         assert _least_common(side, other) == expect, (side, other)
