@@ -66,8 +66,8 @@ class Identity(Anticongruence):
 
     kind = "identity"
 
-    # equal alphabets give equal relations, so hull caches keyed on the
-    # relation also hit for separately built identities
+    # equal alphabets give equal relations, for EqClass equality, the
+    # certificate's reuse test and hits in the hull cache in equations
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Identity) and other.alphabet == self.alphabet
 
@@ -76,13 +76,6 @@ class Identity(Anticongruence):
 
     def class_letters(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         return (letters,)
-
-
-@functools.lru_cache(maxsize=64)
-def identity_of(alphabet: Alphabet) -> Identity:
-    """One Identity per alphabet. Caches keyed on the relation keep their key
-    alive, so a fresh Identity per call would pile up there."""
-    return Identity(alphabet)
 
 
 class MorphicPermutation(Anticongruence):

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
-from .anticongruence import Anticongruence, EqClass, Identity, identity_of
+from .anticongruence import Anticongruence, EqClass, Identity
 from .freeness import Basis, Letters, hull_letters, rank
 from .pseudo import NotInMonoid, PseudoFreeBasis, class_reps
 from .words import (
@@ -88,8 +88,8 @@ def parse_equation(text: str) -> Equation:
     """Parse "x y = y x" style equation text.
 
     Tokens are whitespace separated; an unknown may carry a positive
-    exponent as in x^2, which is expanded to repeated occurrences. The
-    unknowns alphabet lists unknowns in order of first occurrence.
+    exponent of ASCII digits as in x^2, expanded to repeated occurrences.
+    The unknowns alphabet lists unknowns in order of first occurrence.
     """
     tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
     eq_positions = [i for i, (tok, _) in enumerate(tokens) if tok == "="]
@@ -108,7 +108,7 @@ def parse_equation(text: str) -> Equation:
                 base, _, exp_text = tok.partition("^")
                 if not base:
                     raise EquationSyntaxError(f"missing unknown before '^' at column {pos}")
-                if not exp_text.isdigit():
+                if not re.fullmatch(r"[0-9]+", exp_text):  # str.isdigit() admits ² and ٣
                     raise EquationSyntaxError(f"bad exponent {exp_text!r} at column {pos}")
                 exp = int(exp_text)
                 if exp == 0:
@@ -403,32 +403,30 @@ def _class_symbols(classes: Sequence[EqClass]) -> list[str]:
     return names
 
 
-# hull_letters under an identity reads nothing but the letter tuples, so this
-# one relation ranks the class-index words of every descent
+# The one hull cache: descents and certificate ranks repeat hulls within a run
+# and across runs in one process; hull_letters itself computes fresh.
+_cached_hull = functools.lru_cache(maxsize=1 << 14)(hull_letters)
+# an identity's hull reads only letter tuples, so this one relation ranks the
+# class-index words of every descent, sharing their _cached_hull entries
 _CLASS_INDEX_IDENTITY = Identity(Alphabet(("[·]",)))
 
 
 def _hull_basis(psol: PseudoSolution) -> tuple[Letters, ...]:
-    """hull_letters of all class members of all images (PseudoSolution.union_members)."""
+    """The cached hull of all class members of all images (PseudoSolution.union_members)."""
     rel = psol.rel
     members: set[Letters] = set()
     for c in psol.images.values():
-        rel._check(c.rep)
         members.update(rel.class_letters(c.rep.letters))
     members.discard(())
-    return hull_letters(rel, frozenset(members))
+    return _cached_hull(rel, frozenset(members))
 
 
 def _descent(
-    e: Equation, psol: PseudoSolution, limit: int
-) -> tuple[Letters, tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
-    """descend on letter tuples: the least word both sides share, the hull
-    basis, its class representatives and each unknown's image as class indices."""
-    common = _least_common(
-        _side_classes(e.lhs, e.unknowns, psol, limit), _side_classes(e.rhs, e.unknowns, psol, limit)
-    )
-    if common is None:
-        raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
+    e: Equation, psol: PseudoSolution
+) -> tuple[tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
+    """descend's letter work on a pseudo-solution whose sides share a word:
+    the hull basis, its class representatives and each unknown's image as
+    class indices."""
     rel = psol.rel
     basis = _hull_basis(psol)
     reps = class_reps(rel, basis)
@@ -449,10 +447,10 @@ def _descent(
     rhs = sum((images[syms[i]] for i in e.rhs.letters), ())
     if lhs != rhs:
         raise DescentFailed(f"descended morphism does not solve {e}")
-    r = len(hull_letters(_CLASS_INDEX_IDENTITY, frozenset(w for w in images.values() if w)))
+    r = len(_cached_hull(_CLASS_INDEX_IDENTITY, frozenset(w for w in images.values() if w)))
     if r != len(reps):
         raise DescentFailed(f"descended rank {r} differs from pseudo-rank {len(reps)}")
-    return common, basis, reps, images
+    return basis, reps, images
 
 
 def descend(
@@ -470,7 +468,13 @@ def descend(
     limit below 1 raises ValueError.
     """
     _require_limit(limit)
-    common, basis, reps, images = _descent(e, psol, limit)
+    common = _least_common(
+        _side_classes(e.lhs, e.unknowns, psol, limit), _side_classes(e.rhs, e.unknowns, psol, limit)
+    )
+    if common is None:
+        raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
+    psol.rel._check(*(c.rep for c in psol.images.values()))
+    basis, reps, images = _descent(e, psol)
     hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
@@ -780,15 +784,15 @@ def bounded_rank_certificate(
 
     Ordinary solutions are enumerated under the identity relation on
     sigma; pseudo-solutions under rel, by the same walk when rel is that
-    identity. For every pseudo-solution found, the descent is run on
-    letter tuples (descend without its result objects) and a failure is
-    recorded with the pseudo-rank read off the hull. The maxima are lower
-    bounds of the true ranks; the witnesses are the first solutions
-    attaining them in enumeration order. A limit below 1 raises
+    identity. Every pseudo-solution found has sides within limit that share
+    a word, so it descends without that check or result objects (_descent),
+    and a failure is recorded with the pseudo-rank read off the hull. The
+    maxima are lower bounds of the true ranks; the witnesses are the first
+    solutions attaining them in enumeration order. A limit below 1 raises
     ValueError.
     """
     _require_limit(limit)
-    identity = identity_of(sigma)
+    identity = Identity(sigma)
     # under the identity on sigma the pseudo phase would repeat the ordinary walk
     reuse = rel == identity
     ordinary = enumerate_pseudo_solutions(
@@ -803,7 +807,7 @@ def bounded_rank_certificate(
         ordinary_count += 1
         # solution_rank of the representatives, on their letter tuples
         reps = frozenset(c.rep.letters for c in psol.images.values() if c.rep)
-        r = len(hull_letters(identity, reps))
+        r = len(_cached_hull(identity, reps))
         if r > max_ordinary:
             max_ordinary = r
             ordinary_witness = Solution({x: c.rep for x, c in psol.images.items()})
@@ -822,7 +826,7 @@ def bounded_rank_certificate(
         solutions.append(psol)
         try:
             # _descent raises DescentFailed when the two ranks differ
-            pr = len(_descent(e, psol, limit)[2])
+            pr = len(_descent(e, psol)[1])
         except WordEqError as exc:
             failures.append(f"{psol!r}: {exc}")
             pr = len(class_reps(rel, _hull_basis(psol)))

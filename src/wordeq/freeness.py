@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .anticongruence import Anticongruence, identity_of
+from .anticongruence import Anticongruence, Identity
 from .words import (
     Alphabet,
     EnumerationGuardExceeded,
@@ -154,7 +154,6 @@ def _minimal_letters(pool: set[Letters]) -> list[Letters]:
     return sorted(kept)
 
 
-@lru_cache(maxsize=1 << 14)
 def hull_letters(rel: Anticongruence, words: frozenset[Letters]) -> tuple[Letters, ...]:
     """Sorted basis of the smallest free monoid containing words with a basis closed
     under rel's classes (under Identity, the free hull).
@@ -198,7 +197,7 @@ def free_hull(words: Iterable[Word]) -> Basis:
     letters.discard(())
     if not letters:
         return Basis(())
-    basis = hull_letters(identity_of(alphabet), frozenset(letters))
+    basis = hull_letters(Identity(alphabet), frozenset(letters))
     return Basis(tuple(basis_words(alphabet, basis, given).values()))
 
 

@@ -98,6 +98,19 @@ class TestParseConfig:
         assert (code, out) == (EXIT_CONFIG, "")
         assert "Traceback" not in err
 
+    def test_non_ascii_exponent_is_config_error(self, tmp_path):
+        # ² passes str.isdigit() but not int()
+        cfg = write(tmp_path, COMMUTE_CFG.format(x="a", y="b").replace("x y =", "x^² y ="))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordeq.cli", "check", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+        assert proc.stderr.startswith("config error: ") and "bad exponent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import brute_pseudo_solutions, brute_representatives
 from wordeq import (
+    DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     BudgetExceeded,
     EqClass,
@@ -151,11 +152,27 @@ def largest_side_product(e, rel, max_len):
     return best
 
 
+def all_checked(e, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT):
+    """Whether every pseudo-solution the walk emits under limit passes
+    check_pseudo_solution at that limit."""
+    emitted = []
+    try:
+        for psol in enumerate_pseudo_solutions(e, rel, max_len, limit=limit):
+            emitted.append(psol)
+    except ProductLimitExceeded:  # the walk stops at its first side over the limit
+        pass
+    return all(check_pseudo_solution(e, psol, limit).valid for psol in emitted)
+
+
 @pytest.mark.parametrize("name,e,rel,max_len", INSTANCES, ids=[i[0] for i in INSTANCES])
 def test_same_sequence_budget_and_guard(name, e, rel, max_len):
     expect = outcome(brute_pseudo_solutions, e, rel, max_len)
     assert outcome(enumerate_pseudo_solutions, e, rel, max_len) == expect
     assert expect[1] is None
+    # bounded_rank_certificate descends without re-checking sides: it relies
+    # on every emitted pseudo-solution having sides within the limit and a
+    # common word, which the full check confirms here
+    assert all_checked(e, rel, max_len)
 
     # the edges of the first two prefixes, and of the whole walk, which r ** n
     # completes; budgets below 1 examine nothing
@@ -172,6 +189,7 @@ def test_same_sequence_budget_and_guard(name, e, rel, max_len):
             expect = outcome(brute_pseudo_solutions, e, rel, max_len, limit=limit)
             assert (expect[1] is not None) == (limit < boundary)
             assert outcome(enumerate_pseudo_solutions, e, rel, max_len, limit=limit) == expect
+            assert all_checked(e, rel, max_len, limit)
 
     # no side fits under a limit below 1, which is refused before anything is emitted
     for limit in (0, -1):

@@ -95,9 +95,11 @@ class TestParse:
         with pytest.raises(EquationSyntaxError):
             parse_equation("= x y")
 
-    def test_bad_exponent(self):
-        with pytest.raises(EquationSyntaxError):
-            parse_equation("x^two = y")
+    @pytest.mark.parametrize("exponent", ["two", "²", "٣"], ids=["word", "superscript", "arabic_indic"])
+    def test_bad_exponent(self, exponent):
+        # ² and ٣ pass str.isdigit(); only ASCII digits are exponents
+        with pytest.raises(EquationSyntaxError, match="bad exponent"):
+            parse_equation(f"x^{exponent} y = y x")
 
 
 class TestCheckSolution:

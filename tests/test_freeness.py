@@ -1,11 +1,17 @@
+import gc
+import weakref
+
 import pytest
 
 from wordeq import (
     Alphabet,
     AlphabetMismatch,
     EnumerationGuardExceeded,
+    FiniteTable,
+    MorphicPermutation,
     NotClassClosed,
     WordEqError,
+    class_factorization,
     factorizations,
     free_hull,
     hull_oracle,
@@ -15,7 +21,6 @@ from wordeq import (
     pseudo_free_hull,
     rank,
 )
-from wordeq import freeness
 from wordeq.words import least_factorization
 
 from oracles import PairTable, all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
@@ -128,18 +133,19 @@ class TestFreeHull:
         assert rank(words(AB, "aa", "aaa")) == 1
         assert rank([]) == 0
 
-    def test_one_identity_per_alphabet(self, monkeypatch):
-        # the hull cache keys on the relation, so each call's own Identity would stay alive there
-        seen = []
+    def test_hull_keeps_no_relation_alive(self):
+        # hulls compute fresh, so nothing past a call holds its relation
+        def hull_and_factor(rel):
+            hull = pseudo_free_hull(rel, words(ABC, "ab", "cab", "ba"))
+            class_factorization(hull, ABC.word("abcab"))
+            return weakref.ref(rel)
 
-        def record(rel, letters):
-            seen.append(rel)
-            return tuple(sorted(letters))
-
-        monkeypatch.setattr(freeness, "hull_letters", record)
-        free_hull(words(Alphabet("ab"), "ab", "ba"))
-        free_hull(words(Alphabet("ab"), "a", "b"))
-        assert len(seen) == 2 and seen[0] is seen[1]
+        refs = [
+            hull_and_factor(MorphicPermutation.from_cycles(ABC, "(a c)")),
+            hull_and_factor(FiniteTable(ABC, [((0,), (2,))])),
+        ]
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestAlphabetBoundary:
