@@ -32,10 +32,9 @@ from .equations import (
     BudgetExceeded,
     Equation,
     PseudoSolution,
-    _least_common,
-    _side_classes,
     _side_words,
     bounded_rank_certificate,
+    check_pseudo_solution,
     parse_equation,
 )
 from .freeness import Letters, rank
@@ -254,23 +253,12 @@ class Report:
         return "".join(self._pieces(machine=False))
 
     def write(self, out: TextIO, machine: bool) -> None:
-        """Write the text and a newline to out: in one write, or a piece at a
-        time when data holds a SideLanguage."""
-        if not self._streamed():
-            out.write((self.machine_text() if machine else self.human_text()) + "\n")
-            return
-        for piece in self._pieces(machine):
-            out.write(piece)
+        """Write the text and a newline to out, a piece at a time."""
+        out.writelines(self._pieces(machine))
         out.write("\n")
 
-    def _streamed(self) -> bool:
-        return any(isinstance(v, SideLanguage) for v in self.data.values())
-
     def _pieces(self, machine: bool) -> Iterator[str]:
-        # one piece, or one per top-level key with side languages in chunks
-        if not self._streamed():
-            yield json.dumps(self.data, ensure_ascii=True) if machine else self._human(self.data)
-            return
+        # one per top-level key, joined the way json.dumps and _human join a dict
         for i, (key, value) in enumerate(self.data.items()):
             if machine:
                 yield (", " if i else "{") + json.dumps(key) + ": "
@@ -354,21 +342,19 @@ def cmd_check(cfg: JobConfig) -> Report:
     if missing:
         raise ConfigError(f"{cfg.path}: assign misses unknowns: {', '.join(missing)}")
     psol = PseudoSolution(rel, {x: EqClass.of(rel, w) for x, w in cfg.assign.items()})
-    lhs = _side_classes(e.lhs, e.unknowns, psol, cfg.product_guard)
-    rhs = _side_classes(e.rhs, e.unknowns, psol, cfg.product_guard)
-    common = _least_common(lhs, rhs)
+    verdict = check_pseudo_solution(e, psol, cfg.product_guard)
     data = {
         "command": "check",
         "alphabet": list(cfg.alphabet.symbols),
         "relation": cfg.rel_text,
         "equation": cfg.equation_text,
         "assign": _massign_class(psol.images, e.unknowns.symbols),
-        "valid": common is not None,
-        "common": rel.alphabet.spell(common) if common is not None else None,
-        "lhs_language": SideLanguage(rel.alphabet, lhs),
-        "rhs_language": SideLanguage(rel.alphabet, rhs),
+        "valid": verdict.valid,
+        "common": None if verdict.common is None else _mword(verdict.common),
+        "lhs_language": SideLanguage(rel.alphabet, verdict.lhs_classes),
+        "rhs_language": SideLanguage(rel.alphabet, verdict.rhs_classes),
     }
-    return Report(data, EXIT_PASS if common is not None else EXIT_FAIL)
+    return Report(data, EXIT_PASS if verdict.valid else EXIT_FAIL)
 
 
 def cmd_search(cfg: JobConfig) -> Report:

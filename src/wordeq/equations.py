@@ -14,7 +14,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
@@ -205,16 +204,29 @@ def solution_rank(phi: Solution) -> int:
 
 @dataclass(frozen=True)
 class PseudoVerdict:
-    """check_pseudo_solution outcome: the side languages and their least common word."""
+    """check_pseudo_solution outcome: the sides' least common word and each side's
+    sorted class members per occurrence, from which its language is built when read."""
 
-    valid: bool
     common: Optional[Word]
-    lhs_language: FiniteLanguage
-    rhs_language: FiniteLanguage
+    alphabet: Alphabet
+    lhs_classes: tuple[tuple[Letters, ...], ...]
+    rhs_classes: tuple[tuple[Letters, ...], ...]
+
+    @property
+    def valid(self) -> bool:
+        return self.common is not None
+
+    @functools.cached_property
+    def lhs_language(self) -> FiniteLanguage:
+        return FiniteLanguage(self.alphabet, tuple(_side_words(self.lhs_classes, _concat)))
+
+    @functools.cached_property
+    def rhs_language(self) -> FiniteLanguage:
+        return FiniteLanguage(self.alphabet, tuple(_side_words(self.rhs_classes, _concat)))
 
 
 def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
-    """The error product_letters raises on the first step of a side product over limit."""
+    """The error words.product raises on the first step of a side product over limit."""
     acc = 1
     for s in sizes:
         if acc * s > limit:
@@ -249,7 +261,7 @@ def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any]) -> It
     return (p + m for p in map(join, itertools.product(*head)) for m in last)
 
 
-_first = operator.itemgetter(0)
+_concat = functools.partial(sum, start=())
 
 
 def _least_common(
@@ -258,38 +270,52 @@ def _least_common(
     """The least word in both products of classes, None when they share no word.
 
     A class is given as its sorted members, all of one length. The side
-    with the smaller product of class sizes is built left to right, and a
-    word is dropped as soon as its piece under a block of the other side
-    lies outside that block's class, so the words that survive are the
-    common ones, in order. Callers check the product guard first.
+    with the smaller product of class sizes is walked depth first, its
+    members in order, and a partial word is dropped as soon as its piece
+    under a block of the other side lies outside that block's class. So
+    the first word to clear every cut is the least common one, and the walk
+    holds one partial word and one place in each class. Callers check the
+    product guard first.
     """
     p_side, p_other = math.prod(map(len, side)), math.prod(map(len, other))
     if p_other < p_side:
         side, other, p_other = other, side, p_side
     if p_other == 1:  # one word on each side
-        word = sum(map(_first, side), ())
-        return word if word == sum(map(_first, other), ()) else None
-    cuts = [*itertools.accumulate((len(c[0]) for c in other), initial=0)]
-    built: list[Letters] = [()]
-    pos = k = 0
-    for c in side:
-        built = [u + v for u in built for v in c]
-        pos += len(c[0])
-        while k < len(other) and cuts[k + 1] <= pos:
-            a, b = cuts[k], cuts[k + 1]
-            built = [u for u in built if u[a:b] in other[k]]
-            k += 1
-        if not built:
-            return None
-    return built[0] if pos == cuts[-1] else None
+        word = sum([c[0] for c in side], ())
+        return word if word == sum([c[0] for c in other], ()) else None
+    stops = [*itertools.accumulate((len(c[0]) for c in side), initial=0)]
+    ends = [*itertools.accumulate((len(c[0]) for c in other), initial=0)]
+    if stops[-1] != ends[-1]:
+        return None
+    blocks = [*zip(ends, ends[1:], other)]  # (start, end, class) of each block of other
+    at = functools.partial(bisect.bisect_right, ends)  # at(p) - 1: the first block to end after p
+    cuts = [blocks[at(s) - 1 : at(t) - 1] for s, t in zip(stops, stops[1:])]  # those ending in each class
+    word: Letters = ()  # the last partial word to clear its cuts
+    untried = [iter(side[0])]  # untried[i]: the members of class i not yet tried
+    while untried:
+        i = len(untried) - 1
+        for v in untried[i]:
+            w = word[: stops[i]] + v
+            for a, b, block in cuts[i]:
+                if w[a:b] not in block:
+                    break
+            else:  # on to the next class
+                if i + 1 == len(side):
+                    return w
+                word = w
+                untried.append(iter(side[i + 1]))
+                break
+        else:  # class i is spent: back to the previous class
+            untried.pop()
+    return None
 
 
 def _side_classes(
     side: Word, unknowns: Alphabet, psol: PseudoSolution, limit: int
-) -> list[tuple[Letters, ...]]:
+) -> tuple[tuple[Letters, ...], ...]:
     """The sorted class members of each occurrence on a side, in order. The
     first occurrence with no image, or that takes the product of class sizes
-    over limit, raises MissingImage or product_letters' ProductLimitExceeded."""
+    over limit, raises MissingImage or _guard_error's ProductLimitExceeded."""
     syms, images, class_letters = unknowns.symbols, psol.images, psol.rel.class_letters
     out: list[tuple[Letters, ...]] = []
     acc = 1
@@ -302,26 +328,22 @@ def _side_classes(
         acc *= len(m)
         if acc > limit:
             raise _guard_error([len(m) for m in out], limit)
-    return out
+    return tuple(out)
 
 
 def check_pseudo_solution(
     e: Equation, psol: PseudoSolution, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> PseudoVerdict:
-    """Materialize both side languages and their least common word. A limit
-    below 1 raises ValueError."""
+    """Whether the two sides share a word: a limit below 1 raises ValueError,
+    an image over another alphabet AlphabetMismatch, then the left side's
+    classes, the right side's and their least common word are read."""
     _require_limit(limit)
+    rel = psol.rel
+    rel._check(*(c.rep for c in psol.images.values()))
     lhs = _side_classes(e.lhs, e.unknowns, psol, limit)
     rhs = _side_classes(e.rhs, e.unknowns, psol, limit)
     common = _least_common(lhs, rhs)
-    alphabet = psol.rel.alphabet
-    concat = functools.partial(sum, start=())
-    return PseudoVerdict(
-        common is not None,
-        None if common is None else Word(alphabet, common),
-        FiniteLanguage(alphabet, tuple(_side_words(lhs, concat))),
-        FiniteLanguage(alphabet, tuple(_side_words(rhs, concat))),
-    )
+    return PseudoVerdict(None if common is None else Word(rel.alphabet, common), rel.alphabet, lhs, rhs)
 
 
 def align_equivalent_sides(
@@ -461,19 +483,15 @@ def descend(
     Takes the pseudo-free hull of all image class members, factorizes each
     image representative over its basis (one walk, the basis is a code),
     and reads the factors' classes as letters of the hull's class
-    alphabet. Raises InvalidPseudoSolution for disjoint sides, and
-    DescentFailed unless the result solves the equation and its rank
-    equals the number of hull classes. The work runs on letter tuples;
-    Word, EqClass and Alphabet objects are built only for the result. A
-    limit below 1 raises ValueError.
+    alphabet. check_pseudo_solution decides first, with its errors, and
+    disjoint sides raise InvalidPseudoSolution; DescentFailed is raised
+    unless the result solves the equation and its rank equals the number
+    of hull classes. The work runs on letter tuples; Word, EqClass and
+    Alphabet objects are built only for the result.
     """
-    _require_limit(limit)
-    common = _least_common(
-        _side_classes(e.lhs, e.unknowns, psol, limit), _side_classes(e.rhs, e.unknowns, psol, limit)
-    )
-    if common is None:
+    verdict = check_pseudo_solution(e, psol, limit)
+    if not verdict.valid:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
-    psol.rel._check(*(c.rep for c in psol.images.values()))
     basis, reps, images = _descent(e, psol)
     hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
@@ -481,7 +499,7 @@ def descend(
     else:
         class_alphabet = Alphabet(("[·]",))  # all images ε; one unused symbol
     alpha = Solution({x: Word(class_alphabet, w) for x, w in images.items()})
-    return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, common))
+    return DescentResult(class_alphabet, alpha, hull, verdict.common)
 
 
 def _representatives(

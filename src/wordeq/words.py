@@ -214,21 +214,16 @@ class FiniteLanguage:
         return "{" + ", ".join(self.alphabet.spell(ls) or "ε" for ls in self.letters) + "}"
 
 
-def product_letters(a: Sequence[tuple], b: Sequence[tuple], limit: int) -> list[tuple]:
-    """[u+v for u in a for v in b], after checking len(a)*len(b) <= limit; sorted
-    operands whose words each have one length give a sorted, duplicate-free list."""
-    if len(a) * len(b) > limit:
-        raise ProductLimitExceeded(f"product of {len(a)} x {len(b)} words exceeds limit {limit}")
-    return [u + v for u in a for v in b]
-
-
 def product(
     k: FiniteLanguage, l: FiniteLanguage, limit: int = DEFAULT_PRODUCT_LIMIT
 ) -> FiniteLanguage:
-    """Elementwise concatenation {u·v | u in K, v in L}, canonicalized."""
+    """Elementwise concatenation {u·v | u in K, v in L}, canonicalized, after
+    checking len(K)*len(L) <= limit."""
     _require_same_alphabet(k, l)
+    if len(k) * len(l) > limit:
+        raise ProductLimitExceeded(f"product of {len(k)} x {len(l)} words exceeds limit {limit}")
     # operands of mixed lengths can give one word twice, as a·ab = aa·b
-    return FiniteLanguage.of_letters(k.alphabet, set(product_letters(k.letters, l.letters, limit)))
+    return FiniteLanguage.of_letters(k.alphabet, {u + v for u in k.letters for v in l.letters})
 
 
 def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]) -> list[bool]:

@@ -8,7 +8,8 @@ mode, over seeded configs with multi-character, non-ASCII and
 JSON-escaped symbols, ε images, invalid verdicts, sides that span
 several chunks and product guards that stop the check with the same
 message. The x^6 y = y x^6 run pins the memory that streaming
-saves: its two sides hold 279,936 words each.
+saves: its two sides hold 279,936 words each. The x^6 y = x^6 y run
+pins the memory of the decision, whose two sides agree on every word.
 """
 import io
 import os
@@ -26,6 +27,7 @@ from wordeq import cli
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 X6Y = HERE / "x6y_6cycle.cfg"
+X6Y_SAME = HERE / "x6y_same.cfg"
 
 ALPHABETS = [
     ("a", "b", "c"),
@@ -100,6 +102,7 @@ def test_streamed_report_matches_whole_report(tmp_path, monkeypatch):
         rel = cfg.rel if cfg.rel is not None else Identity(cfg.alphabet)
         psol = PseudoSolution(rel, {x: EqClass.of(rel, w) for x, w in cfg.assign.items()})
         verdict = check_pseudo_solution(cfg.equation, psol)
+        assert "lhs_language" not in vars(verdict)  # built only when read
         sides = [brute_side_letters(side, cfg.equation.unknowns, psol, 10**6)
                  for side in (cfg.equation.lhs, cfg.equation.rhs)]
         assert verdict.lhs_language.letters == tuple(sorted(sides[0]))
@@ -124,11 +127,13 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_large_check_report_streams_in_bounded_memory():
-    # built whole, the two 279,936-word sides of this report peak at ~170 MB
+@pytest.mark.parametrize("config", [X6Y, X6Y_SAME], ids=["x6y_6cycle", "x6y_same"])
+def test_large_check_report_streams_in_bounded_memory(config):
+    # built whole, the two 279,936-word sides of these reports peak at ~170 MB;
+    # on x6y_same every word of a side survives every cut of the other
     paths = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(X6Y), "--machine"]
+    cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(config), "--machine"]
     proc = subprocess.run([sys.executable, "-c", PEAK_OF_CHILD, *cli_run],
                           capture_output=True, text=True, env=env, check=True)
     code, peak_kib = map(int, proc.stdout.split())

@@ -177,3 +177,31 @@ class TestErrors:
         foreign = EqClass(self.swap, Word(Alphabet("cd"), (0,)))
         p = PseudoSolution(self.swap, {"x": foreign, "y": EqClass.of(self.swap, AB.word("a"))})
         self.same(AlphabetMismatch, e, p)
+
+    @pytest.mark.parametrize("decide", [check_pseudo_solution, descend])
+    @pytest.mark.parametrize(
+        "image",
+        # letter 2 is out of range for the relation; letter 0 is in range, and the sides would meet
+        [Alphabet("abc").word("c"), Alphabet("xyz").word("x")],
+        ids=["letter_out_of_range", "letter_in_range"],
+    )
+    def test_every_image_checked_before_the_sides(self, decide, image):
+        c = EqClass(self.swap, image)
+        p = PseudoSolution(self.swap, {"x": c, "y": c})
+        with pytest.raises(AlphabetMismatch, match="^word from a different alphabet than the relation$"):
+            decide(parse_equation("x y = y x"), p)
+
+
+@pytest.mark.parametrize(
+    "text,common",
+    [("x^1500 y = y x^1500", None), ("x^1500 y = x^1500 y", "c" * 1500 + "a")],
+    ids=["disjoint", "same"],
+)
+def test_long_sides_decided_without_recursion(text, common):
+    # 1501 occurrences a side, all but y's in a one-word class: the walk is 1501 classes deep
+    e = parse_equation(text)
+    p = psol(MorphicPermutation.from_cycles(ABC, "(a b)"), x="c", y="a")
+    verdict = check_pseudo_solution(e, p)
+    assert verdict.common == (common and ABC.word(common))
+    assert hash(verdict) == hash(check_pseudo_solution(e, p))
+    assert view(descend, e, p) == view(brute_descend, e, p)
