@@ -529,19 +529,22 @@ Window = tuple[int, int]  # a piece [a, b) of an occurrence
 
 
 @functools.lru_cache(maxsize=256)
-def _cut_plans(lhs: Letters, rhs: Letters, n: int, lengths: tuple[int, ...]) -> tuple:
-    """Each vector of n unknown lengths drawn from lengths that balances the
-    sides lhs and rhs, in lexicographic order, with its cuts.
+def _cut_plans(lhs: Letters, rhs: Letters, domains: tuple[tuple[int, ...], ...]) -> tuple:
+    """Each vector of unknown lengths, unknown u's drawn from the sorted
+    domains[u], that balances the sides lhs and rhs, in lexicographic order,
+    with its cuts.
 
     The occurrence boundaries of both sides cut the word into segments, and
     each segment lies under one occurrence on each side. Per unknown, the
     cuts hold the pairs of its own windows that lie under one segment, and
     a (window, earlier unknown, its window) for each segment it shares with
-    an earlier unknown. Cached because both phases of a certificate walk
-    the same vectors.
+    an earlier unknown. Cached because both phases of a certificate without
+    a budget walk the same vectors; a budget gives each phase its own
+    domains, so budgeted phases may not share an entry.
     """
+    n = len(domains)
     out = []
-    for vec in itertools.product(lengths, repeat=n):
+    for vec in itertools.product(*domains):
         ends_l = [*itertools.accumulate(map(vec.__getitem__, lhs), initial=0)]
         ends_r = [*itertools.accumulate(map(vec.__getitem__, rhs), initial=0)]
         end = ends_l[-1]
@@ -588,19 +591,22 @@ def enumerate_pseudo_solutions(
     the pieces of one class's members lie in one class. Each unknown's
     candidates are read from an index of the representatives of its length
     keyed by those piece classes, and every leaf is decided exactly by
-    _least_common. The streams of all vectors are merged in lexicographic
-    order.
+    _least_common. The walk keeps one iterator of untried candidates per
+    unknown on a stack, and the solutions of all vectors are merged in
+    lexicographic order.
 
-    Before a side is built, the product of its class sizes is compared
-    with limit: the first length-balanced assignment with a side over limit
-    raises ProductLimitExceeded, whether or not the cuts prune it. budget
-    caps the number of assignments examined in lexicographic order, the
-    ones skipped for their lengths included: the assignment of indices t
-    is number Σ t_u·R^(n−1−u), counted from 0, where R is the number of
-    representatives, and only the ones below budget are tested. Exceeding
-    the budget raises BudgetExceeded with progress counts. Word and EqClass
-    objects are built only for emitted solutions. A limit below 1 raises
-    ValueError on the first next(), before any representative is built.
+    The assignment of indices t is number Σ t_u·R^(n−1−u), counted from 0,
+    where R is the number of representatives. One stop, fixed before the
+    walk, holds for every vector: budget, or the first length-balanced
+    assignment with a side whose product of class sizes is over limit if
+    that comes first, whether or not the cuts prune it. The budget counts
+    the assignments skipped for their lengths too, and an unknown takes
+    only the lengths whose first representative keeps it below budget.
+    Only the assignments below the stop are tested; the trip then raises
+    ProductLimitExceeded, and a spent budget BudgetExceeded with progress
+    counts. Word and EqClass objects are built only for emitted solutions.
+    A limit below 1 raises ValueError on the first next(), before any
+    representative is built.
     """
     _require_limit(limit)
     names = e.unknowns.symbols
@@ -614,11 +620,12 @@ def enumerate_pseudo_solutions(
     spans: dict[int, list[int]] = {}  # length -> its representatives, in order
     for i, w in enumerate(words):
         spans.setdefault(len(w), []).append(i)
+    top = {length: max(sizes[x] for x in span) for length, span in spans.items()}
     weights = [n_reps ** (n - 1 - u) for u in range(n)]
     total = n_reps**n
     bound = total if budget is None else max(min(budget, total), 0)
     counts = [(lhs.count(u), rhs.count(u)) for u in range(n)]
-    guarded = max(sizes) ** max(len(lhs), len(rhs)) > limit
+    guarded = max(top.values()) ** max(len(lhs), len(rhs)) > limit
     piece_rows: dict[Window, list] = {}
     indexes: dict[tuple[int, Window], dict[Letters, list[int]]] = {}
     steps: dict[tuple, tuple] = {}
@@ -659,41 +666,36 @@ def enumerate_pseudo_solutions(
             found = steps[key] = (span, fit, [(index(length, w), u, wu) for w, u, wu in shared])
         return found
 
-    def over_limit(vec: tuple[int, ...]) -> Optional[tuple[int, ProductLimitExceeded]]:
-        # the number and guard error of the first assignment of lengths vec
-        # below bound with a side over the guard, if any
-        top = [max(sizes[x] for x in spans[vec[u]]) for u in range(n)]
-        rest = [(1, 1)] * (n + 1)  # the largest side products of the unknowns from d on
+    def trip(vec: tuple[int, ...]) -> Optional[tuple[int, list[int]]]:
+        # the number and indices of the first assignment of lengths vec with a
+        # side over the guard, if any. rest[d] holds the largest side products
+        # of the unknowns from d on, so some completion of a prefix goes over
+        # the guard exactly when it does with rest, and the least index that
+        # still allows one is the first assignment's at every depth
+        rest = [(1, 1)] * (n + 1)
         for d in reversed(range(n)):
-            c_l, c_r = counts[d]
-            rest[d] = (rest[d + 1][0] * top[d] ** c_l, rest[d + 1][1] * top[d] ** c_r)
-        t = [0] * n
-
-        def first(d: int, rank: int, p_l: int, p_r: int) -> Optional[int]:
-            if d == n:
-                return rank
-            span = spans[vec[d]]
-            for x in span[: bisect.bisect_left(span, -(-(bound - rank) // weights[d]))]:
-                q_l, q_r = p_l * sizes[x] ** counts[d][0], p_r * sizes[x] ** counts[d][1]
-                if q_l * rest[d + 1][0] > limit or q_r * rest[d + 1][1] > limit:
-                    t[d] = x
-                    found = first(d + 1, rank + x * weights[d], q_l, q_r)
-                    if found is not None:
-                        return found
+            (c_l, c_r), m = counts[d], top[vec[d]]
+            rest[d] = (rest[d + 1][0] * m**c_l, rest[d + 1][1] * m**c_r)
+        if max(rest[0]) <= limit:
             return None
-
-        rank = first(0, 0, 1, 1)
-        if rank is None:
-            return None
-        side = lhs if math.prod(sizes[t[u]] for u in lhs) > limit else rhs
-        return rank, _guard_error([sizes[t[u]] for u in side], limit)
+        number, t, p_l, p_r = 0, [], 1, 1
+        for d in range(n):
+            (c_l, c_r), (r_l, r_r) = counts[d], rest[d + 1]
+            for x in spans[vec[d]]:
+                q_l, q_r = p_l * sizes[x] ** c_l, p_r * sizes[x] ** c_r
+                if q_l * r_l > limit or q_r * r_r > limit:
+                    break
+            number, p_l, p_r = number + x * weights[d], q_l, q_r
+            t.append(x)
+        return number, t
 
     def solutions(plan: list, stop: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
         # (number, indices) of a vector's pseudo-solutions numbered below stop,
-        # in batches that share all unknowns but the last
-        t = [0] * n
+        # in batches that share all unknowns but the last. untried[d] holds
+        # unknown d's candidates not yet tried, at[d] the number of indices before d
+        t, at = [0] * n, [0] * (n + 1)
 
-        def candidates(d: int, rank: int) -> Sequence[int]:
+        def candidates(d: int) -> Iterator[int]:
             span, fit, shared = plan[d]
             cands = span
             for table, u, wu in shared:
@@ -708,50 +710,37 @@ def enumerate_pseudo_solutions(
                 cands = found
             if fit is not None:
                 cands = [x for x in cands if x in fit]
-            if cands and rank + cands[-1] * weights[d] >= stop:
-                cands = cands[: bisect.bisect_left(cands, -(-(stop - rank) // weights[d]))]
-            return cands
+            if cands and at[d] + cands[-1] * weights[d] >= stop:
+                cands = cands[: bisect.bisect_left(cands, -(-(stop - at[d]) // weights[d]))]
+            return iter(cands)
 
-        def leaves(rank: int) -> list[tuple[int, tuple[int, ...]]]:
-            # the last unknown's candidates, each decided exactly
-            out = []
-            for x in candidates(n - 1, rank):
-                t[-1] = x
-                sides = [members[t[u]] for u in lhs], [members[t[u]] for u in rhs]
-                if _least_common(*sides) is not None:
-                    out.append((rank + x, tuple(t)))
-            return out
-
-        def walk(d: int, rank: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
-            weight = weights[d]
-            for x in candidates(d, rank):
-                t[d] = x
-                if d < n - 2:
-                    yield from walk(d + 1, rank + x * weight)
-                elif batch := leaves(rank + x * weight):
+        untried, batch = [candidates(0)], []
+        while untried:
+            d = len(untried) - 1
+            for x in untried[d]:
+                t[d], at[d + 1] = x, at[d] + x * weights[d]
+                if d + 1 < n:  # on to the next unknown
+                    untried.append(candidates(d + 1))
+                    break
+                if _least_common([members[t[u]] for u in lhs], [members[t[u]] for u in rhs]) is not None:
+                    batch.append((at[n], tuple(t)))
+            else:  # unknown d is spent: back to the previous one
+                untried.pop()
+                if batch:
                     yield batch
+                    batch = []
 
-        if n > 1:
-            return walk(0, 0)
-        return iter([batch] if (batch := leaves(0)) else [])
-
-    def stream(vec: tuple[int, ...], cuts: tuple) -> Iterator[list[tuple[int, object]]]:
-        # the vector's solutions up to its first assignment over the guard, then that one
-        plan = [step(length, own, shared) for length, (own, shared) in zip(vec, cuts)]
-        over = over_limit(vec) if guarded else None
-        if over is None:
-            return solutions(plan, bound)
-        return itertools.chain(solutions(plan, over[0]), ([over],))
-
-    vectors = _cut_plans(lhs, rhs, n, tuple(sorted(spans)))
-    streams = [stream(vec, cuts) for vec, cuts in vectors]
+    # every assignment giving u length k is numbered at least spans[k][0] * weights[u]
+    domains = tuple(tuple(k for k in sorted(spans) if spans[k][0] * weights[u] < bound) for u in range(n))
+    vectors = _cut_plans(lhs, rhs, domains)
+    first = min((found for vec, _ in vectors if guarded and (found := trip(vec))), default=None)
+    stop = bound if first is None else min(first[0], bound)
+    streams = [solutions([step(k, *cut) for k, cut in zip(vec, cuts)], stop) for vec, cuts in vectors]
     emitted = 0
     # the first n - 1 indices and the last unknown's length fix the vector, so
     # the numbers of two batches never interleave and merging by the first suffices
     for batch in heapq.merge(*streams, key=lambda batch: batch[0][0]):
         for _, found in batch:
-            if isinstance(found, ProductLimitExceeded):
-                raise found
             images = {}
             for name, i in zip(names, found):
                 c = classes[i]
@@ -760,6 +749,10 @@ def enumerate_pseudo_solutions(
                 images[name] = c
             emitted += 1
             yield PseudoSolution(rel, images)
+    if stop < bound:
+        t = first[1]
+        side = lhs if math.prod(sizes[t[u]] for u in lhs) > limit else rhs
+        raise _guard_error([sizes[t[u]] for u in side], limit)
     if bound < total:
         raise BudgetExceeded(f"assignment budget {budget} exceeded", bound, emitted)
 

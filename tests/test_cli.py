@@ -266,6 +266,20 @@ class TestSearch:
         data = json.loads(out)
         assert (data["assignments_examined"], data["solutions_found_before_exhaustion"]) == (1, 1)
 
+    def test_many_unknowns_end_in_a_report(self, tmp_path):
+        # the walk keeps one iterator per unknown on a stack, not one Python frame
+        xs = [f"x{i}" for i in range(1200)]
+        equation = " ".join(xs) + " = " + " ".join(reversed(xs))
+        cfg = write(tmp_path, f"alphabet: a b\nrel: permutation: (a b)\nequation: {equation}\nmax_len: 0\n")
+        code, out, _ = run(["search", "--config", cfg, "--machine"])
+        assert code == EXIT_PASS
+        assert json.loads(out)["descent_property"] == "pass"
+        # under a budget only the length vectors below it are listed, not 4^1200
+        code, out, _ = run(["search", "--config", cfg, "--machine", "--max-len", "3", "--budget", "10"])
+        assert code == EXIT_BUDGET
+        data = json.loads(out)
+        assert (data["assignments_examined"], data["solutions_found_before_exhaustion"]) == (10, 10)
+
     def test_colliding_class_names_end_in_a_report(self, tmp_path):
         # a, b·c and a·b, c join to the same class name [a·b·c]
         cfg = write(

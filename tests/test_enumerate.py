@@ -27,6 +27,7 @@ from wordeq import (
     enumerate_pseudo_solutions,
     parse_equation,
 )
+from wordeq import equations
 from wordeq.cli import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +121,11 @@ INSTANCES = config_instances() + criterion_4_instances() + seeded_instances() + 
     # one unknown: the walk has a single, empty prefix
     ("x x = x/identity", parse_equation("x x = x"), Identity(AB), 3),
     ("x x = x/(a b)", parse_equation("x x = x"), MorphicPermutation(AB, (1, 0)), 3),
+    # four and five unknowns: the walk's stack grows past one level
+    ("x y z w = w z y x/(a b)", parse_equation("x y z w = w z y x"), MorphicPermutation(AB, (1, 0)), 2),
+    ("x y z w = y x w z/(a b c)", parse_equation("x y z w = y x w z"),
+     MorphicPermutation.from_cycles(ABC, "(a b c)"), 2),
+    ("v w x y z = z y x w v/identity", parse_equation("v w x y z = z y x w v"), Identity(AB), 2),
 ]
 
 
@@ -198,6 +204,55 @@ def test_same_sequence_budget_and_guard(name, e, rel, max_len):
         assert outcome(enumerate_pseudo_solutions, e, rel, max_len, limit=limit) == expect
 
 
+def first_trip(e, rel, max_len, limit):
+    """The number of the first assignment with a side over limit, counted from
+    0: the oracle trips the guard exactly under the budgets above it."""
+    lo, hi = 0, len(brute_representatives(rel, max_len)) ** len(e.unknowns)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if outcome(brute_pseudo_solutions, e, rel, max_len, budget=mid, limit=limit)[1][0] == "guard":
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
+
+
+GUARDED = [row for row in INSTANCES if largest_side_product(*row[1:]) > 1]
+
+
+@pytest.mark.parametrize("name,e,rel,max_len", GUARDED, ids=[i[0] for i in GUARDED])
+def test_budget_and_guard_together(name, e, rel, max_len):
+    # the budget and the first assignment over the guard give one stop: the
+    # budgets around that assignment's number end in one or the other
+    limit = largest_side_product(e, rel, max_len) - 1
+    trip = first_trip(e, rel, max_len, limit)
+    for budget in range(trip - 2, trip + 2):
+        expect = outcome(brute_pseudo_solutions, e, rel, max_len, budget=budget, limit=limit)
+        assert expect[1][0] == ("guard" if budget > trip else "budget")
+        assert outcome(enumerate_pseudo_solutions, e, rel, max_len, budget=budget, limit=limit) == expect
+
+
+def test_budget_bounds_the_listed_vectors(monkeypatch):
+    # every one of the 4^8 length vectors balances a palindrome; below budget
+    # 10 only the last two unknowns can be nonempty, in 2 x 4 vectors
+    listed = []
+    cut_plans = equations._cut_plans
+
+    def counted(*args):
+        vectors = cut_plans(*args)
+        listed.append(len(vectors))
+        return vectors
+
+    monkeypatch.setattr(equations, "_cut_plans", counted)
+    xs = [f"x{i}" for i in range(8)]
+    e = parse_equation(" ".join(xs) + " = " + " ".join(reversed(xs)))
+    rel = MorphicPermutation(AB, (1, 0))
+    expect = outcome(brute_pseudo_solutions, e, rel, 3, budget=10)
+    assert expect[1] == ("budget", 10, 10)
+    assert outcome(enumerate_pseudo_solutions, e, rel, 3, budget=10) == expect
+    assert sum(listed) <= 16
+
+
 def test_guard_trips_on_an_assignment_the_cuts_prune():
     # under b~c, x = [a] and y = [ab] = {ab, ac} is the first assignment with a
     # side over the limit; it is no pseudo-solution, and its pieces at the cut
@@ -219,7 +274,7 @@ def test_sweep_covers_every_shape():
     assert kinds == {"identity", "permutation", "table"}
     balanced = [sorted(e.lhs.letters) == sorted(e.rhs.letters) for _, e, _, _ in INSTANCES]
     assert any(balanced) and not all(balanced)
-    assert {len(e.unknowns) for _, e, _, _ in INSTANCES} >= {1, 2, 3}
+    assert {len(e.unknowns) for _, e, _, _ in INSTANCES} >= {1, 2, 3, 4, 5}
 
 
 def test_representatives_are_generated_lazily():
