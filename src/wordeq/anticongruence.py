@@ -4,7 +4,8 @@ An anticongruence is an equivalence on Σ* such that equivalent words have
 equal length, and whenever u·v is equivalent to u'·v' with |u| = |u'|, the
 pieces u, u' and v, v' are equivalent as well. Three kinds are supported:
 plain equality, orbits of a morphic permutation, and finite pair tables
-closed under cutting.
+closed under cutting. Reversal has classes like theirs but fails the cut
+condition: it is the negative control for the axioms and the descent.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .words import (
     Alphabet,
@@ -218,6 +219,20 @@ class FiniteTable(Anticongruence):
         )
 
 
+class Reversal(Anticongruence):
+    """u ~ v iff v is u or u reversed.
+
+    Its classes are {w, w reversed}, but it fails the cut condition on any
+    alphabet of two or more letters (ab ~ ba, yet a and b are unrelated),
+    so hulls, descent and certificates over it need not behave.
+    """
+
+    kind = "reversal"
+
+    def class_letters(self, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted({letters, letters[::-1]}))
+
+
 def close_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> FiniteTable:
     """FiniteTable of the given pairs of words, which must be over alphabet."""
     letters = []
@@ -263,36 +278,6 @@ class EqClass:
         return f"[{self.rep}]"
 
 
-class RawRelation:
-    """Pair predicate adapter for axiom checking only.
-
-    Deliberately not an Anticongruence: relations built this way (e.g.
-    reversal) may violate the cutting condition and must stay out of hull
-    and equation computations.
-    """
-
-    kind = "raw"
-
-    def __init__(self, alphabet: Alphabet, predicate: Callable[[Word, Word], bool], name: str = "raw"):
-        self.alphabet = alphabet
-        self.predicate = predicate
-        self.name = name
-
-    _check = Anticongruence._check
-
-    def equiv(self, u: Word, v: Word) -> bool:
-        self._check(u, v)
-        return u.letters == v.letters or self.predicate(u, v)
-
-    def describe(self) -> str:
-        return self.name
-
-
-def reversal_relation(alphabet: Alphabet) -> RawRelation:
-    """u ~ v iff v is u reversed; fails the cutting condition on any |Σ| >= 2."""
-    return RawRelation(alphabet, lambda u, v: v.letters == u.letters[::-1], name="reversal")
-
-
 @dataclass(frozen=True)
 class AxiomViolation:
     """First failure found by verify_axioms, with the witnessing words.
@@ -317,7 +302,7 @@ class AxiomViolation:
 
 
 def verify_axioms(
-    rel: Anticongruence | RawRelation,
+    rel: Anticongruence,
     max_len: int,
     word_guard: int = DEFAULT_WORD_GUARD,
 ) -> Optional[AxiomViolation]:
@@ -350,7 +335,7 @@ def verify_axioms(
             for u in support
         }
     else:
-        # an opaque predicate is asked once per ordered pair
+        # an object with nothing but equiv is asked once per ordered pair
         words = [word(u) for u in support]
         related = {u.letters: [v.letters for v in words if rel.equiv(u, v)] for u in words}
 
@@ -384,18 +369,18 @@ def verify_axioms(
     return None
 
 
-def parse_relation(alphabet: Alphabet, text: str) -> Anticongruence | RawRelation:
+def parse_relation(alphabet: Alphabet, text: str) -> Anticongruence:
     """Parse the relation syntax used in CLI configs.
 
     Accepted forms: "identity"; "permutation: (a b)(c)" in cycle notation;
     "table: a~c, ab~cb" as comma-separated generator pairs; "reversal"
-    (axiom checking only).
+    (not an anticongruence).
     """
     body = text.strip()
     if body == "identity":
         return Identity(alphabet)
     if body == "reversal":
-        return reversal_relation(alphabet)
+        return Reversal(alphabet)
     if body.startswith("permutation:"):
         return MorphicPermutation.from_cycles(alphabet, body[len("permutation:") :])
     if body.startswith("table:"):

@@ -24,7 +24,7 @@ from .anticongruence import (
     Anticongruence,
     EqClass,
     Identity,
-    RawRelation,
+    Reversal,
     parse_relation,
     verify_axioms,
 )
@@ -67,7 +67,7 @@ class JobConfig:
 
     path: str
     alphabet: Optional[Alphabet] = None
-    rel: Optional[Anticongruence | RawRelation] = None
+    rel: Optional[Anticongruence] = None
     rel_text: str = "identity"
     equation: Optional[Equation] = None
     equation_text: str = ""
@@ -184,10 +184,10 @@ def _require(cfg: JobConfig, **fields: bool) -> None:
 
 def _anticongruence(cfg: JobConfig) -> Anticongruence:
     rel = cfg.rel if cfg.rel is not None else Identity(cfg.alphabet)
-    if isinstance(rel, RawRelation):
+    if isinstance(rel, Reversal):
         raise ConfigError(
-            f"{cfg.path}: relation {rel.describe()!r} is a raw predicate; "
-            "it can only be used with verify-rel"
+            f"{cfg.path}: relation {rel.describe()!r} is not an anticongruence "
+            "(it fails the cut condition); it can only be used with verify-rel"
         )
     return rel
 

@@ -88,6 +88,7 @@ def parse_equation(text: str) -> Equation:
 
     Tokens are whitespace separated; an unknown may carry a positive
     exponent of ASCII digits as in x^2, expanded to repeated occurrences.
+    A side may expand to at most DEFAULT_PRODUCT_LIMIT occurrences.
     The unknowns alphabet lists unknowns in order of first occurrence.
     """
     tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
@@ -109,13 +110,21 @@ def parse_equation(text: str) -> Equation:
                     raise EquationSyntaxError(f"missing unknown before '^' at column {pos}")
                 if not re.fullmatch(r"[0-9]+", exp_text):  # str.isdigit() admits ² and ٣
                     raise EquationSyntaxError(f"bad exponent {exp_text!r} at column {pos}")
-                exp = int(exp_text)
-                if exp == 0:
+                digits = exp_text.lstrip("0")
+                if not digits:
                     raise EquationSyntaxError(f"zero exponent at column {pos}")
+                # more digits than the bound has is over it; int() is not
+                # asked, as it refuses past 4,300 digits
+                too_many = len(digits) > len(str(DEFAULT_PRODUCT_LIMIT))
+                exp = DEFAULT_PRODUCT_LIMIT + 1 if too_many else int(digits)
             else:
                 base, exp = tok, 1
             if "=" in base:
                 raise EquationSyntaxError(f"malformed token {tok!r} at column {pos}")
+            if len(occs) + exp > DEFAULT_PRODUCT_LIMIT:
+                raise EquationSyntaxError(
+                    f"side expands past {DEFAULT_PRODUCT_LIMIT} occurrences at column {pos}"
+                )
             if base not in names:
                 names.append(base)
             occs.extend([base] * exp)

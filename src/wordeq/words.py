@@ -275,20 +275,27 @@ def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
     target = w.letters
     n = len(target)
     reach = reachable_suffixes(target, bs)
-    out: list[tuple[Word, ...]] = []
-
-    # only reachable positions are entered, so every branch ends in a result
-    def walk(pos: int, factors: tuple[Word, ...]) -> None:
-        if pos == n:
-            out.append(factors)
-            return
-        for b in bs:
+    # depth first on an explicit stack, the sorted basis in order at each
+    # position; only reachable positions are entered, so every branch ends
+    # in a result
+    out: list[tuple[Word, ...]] = [()] if n == 0 else []
+    factors: list[Word] = []  # the factors of target[:pos]
+    pos = 0
+    untried = [iter(bs)] if reach[0] else []  # untried[i]: basis words not yet tried as factor i
+    while untried:
+        for b in untried[-1]:
             j = pos + len(b)
             if j <= n and reach[j] and target[pos:j] == b:
-                walk(j, factors + (Word(w.alphabet, b),))
-
-    if reach[0]:
-        walk(0, ())
+                factors.append(Word(w.alphabet, b))
+                pos = j
+                if pos == n:
+                    out.append(tuple(factors))
+                untried.append(iter(bs))
+                break
+        else:  # factor i is spent: back to factor i - 1
+            untried.pop()
+            if factors:
+                pos -= len(factors.pop())
     return out
 
 

@@ -18,6 +18,7 @@ from wordeq import (
     Identity,
     MorphicPermutation,
     PseudoSolution,
+    Reversal,
     Word,
     align_equivalent_sides,
     bounded_rank_certificate,
@@ -33,7 +34,6 @@ from wordeq import (
     parse_equation,
     pseudo_rank,
     rank,
-    reversal_relation,
     verify_axioms,
 )
 from wordeq.cli import run_command
@@ -244,9 +244,9 @@ def test_criterion_7_anticongruence_axioms():
     assert not table.equiv(ABCD.word("aacc"), ABCD.word("ccaa"))
     assert not table.equiv(ABCD.word("ac"), ABCD.word("ba"))
 
-    violation = verify_axioms(reversal_relation(ABC), 3)
+    violation = verify_axioms(Reversal(ABC), 3)
     assert violation is not None and violation.kind == "cut"
-    rel = reversal_relation(ABC)
+    rel = Reversal(ABC)
     u, v, i = violation.u, violation.v, violation.cut
     assert rel.equiv(u, v)
     assert not (rel.equiv(u[:i], v[:i]) and rel.equiv(u[i:], v[i:]))

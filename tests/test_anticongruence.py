@@ -14,11 +14,10 @@ from wordeq import (
     FiniteTable,
     Identity,
     MorphicPermutation,
-    RawRelation,
+    Reversal,
     close_pairs,
     parse_relation,
     product,
-    reversal_relation,
     verify_axioms,
 )
 
@@ -53,6 +52,26 @@ class CountingSwap(MorphicPermutation):
 
     def equiv(self, u, v):
         raise AssertionError("equiv called")
+
+
+class CountingReversal(Reversal):
+    """Reversal, counting class reads and refusing equiv."""
+
+    def __init__(self, alphabet):
+        super().__init__(alphabet)
+        self.class_reads = 0
+
+    def class_letters(self, letters):
+        self.class_reads += 1
+        return super().class_letters(letters)
+
+    def equiv(self, u, v):
+        raise AssertionError("equiv called")
+
+
+def pair_scan(pred):
+    """A relation on binary words known only by equiv: equality or pred."""
+    return SimpleNamespace(alphabet=AB, equiv=lambda u, v: u == v or pred(u, v))
 
 
 def swap_ab(alphabet=AB):
@@ -106,7 +125,7 @@ class TestEquiv:
         rel = swap_ab()
         assert not rel.equiv(AB.word("a"), AB.word("ab"))
 
-    @pytest.mark.parametrize("rel", [swap_ab(), reversal_relation(AB)], ids=["permutation", "raw"])
+    @pytest.mark.parametrize("rel", [swap_ab(), Reversal(AB)], ids=["permutation", "reversal"])
     def test_words_over_another_alphabet_rejected(self, rel):
         xyz = Alphabet("xyz")
         with pytest.raises(AlphabetMismatch):
@@ -245,24 +264,24 @@ class TestVerifyAxioms:
         assert verify_axioms(three_letter_table(), 4) is None
 
     def test_reversal_fails_cut_condition(self):
-        violation = verify_axioms(reversal_relation(ABC), 3)
+        violation = verify_axioms(Reversal(ABC), 3)
         assert violation is not None
         assert violation.kind == "cut"
         # the returned witness is a genuine violation
-        rel = reversal_relation(ABC)
+        rel = Reversal(ABC)
         u, v, i = violation.u, violation.v, violation.cut
         assert rel.equiv(u, v)
         assert not (rel.equiv(u[:i], v[:i]) and rel.equiv(u[i:], v[i:]))
 
     def test_reversal_witness_is_deterministic(self):
-        violation = verify_axioms(reversal_relation(ABC), 3)
+        violation = verify_axioms(Reversal(ABC), 3)
         assert (str(violation.u), str(violation.v), violation.cut) == ("ab", "ba", 1)
 
     @pytest.mark.parametrize(
         "rel,expect",
         [
             (
-                RawRelation(AB, lambda u, v: {u.letters, v.letters} == {(0,), (0, 1)}),
+                pair_scan(lambda u, v: {u.letters, v.letters} == {(0,), (0, 1)}),
                 ("length", "a", "ab", None, None),
             ),
             (
@@ -270,15 +289,15 @@ class TestVerifyAxioms:
                 ("reflexivity", "b", "b", None, None),
             ),
             (
-                RawRelation(AB, lambda u, v: (u.letters, v.letters) == ((0,), (1,))),
+                pair_scan(lambda u, v: (u.letters, v.letters) == ((0,), (1,))),
                 ("symmetry", "a", "b", None, None),
             ),
             (
                 # aa~ab and ab~bb, but not aa~bb
-                RawRelation(AB, lambda u, v: {u.letters, v.letters} in ({(0, 0), (0, 1)}, {(0, 1), (1, 1)})),
+                pair_scan(lambda u, v: {u.letters, v.letters} in ({(0, 0), (0, 1)}, {(0, 1), (1, 1)})),
                 ("transitivity", "aa", "bb", None, "ab"),
             ),
-            (reversal_relation(ABC), ("cut", "ab", "ba", 1, None)),
+            (Reversal(ABC), ("cut", "ab", "ba", 1, None)),
         ],
         ids=["length", "reflexivity", "symmetry", "transitivity", "cut"],
     )
@@ -379,6 +398,22 @@ class TestVerifyAxioms:
         assert verify_axioms(rel, 4) is None
         assert rel.class_reads == sum(2**n for n in range(5))
 
+    def test_reversal_takes_the_class_path(self):
+        rel = CountingReversal(ABC)
+        v = verify_axioms(rel, 3)
+        assert (v.kind, str(v.u), str(v.v), v.cut) == ("cut", "ab", "ba", 1)
+        assert rel.class_reads == 1 + 3 + 9 + 27
+
+    def test_reversal_matches_pair_scan(self):
+        # unary words are their own reversal, so no axiom fails
+        assert verify_axioms(Reversal(Alphabet("a")), 12) is None
+        for letters, max_len in (("ab", 7), ("abc", 4), ("abcd", 3)):
+            rel = Reversal(Alphabet(letters))
+            got = verify_axioms(rel, max_len)
+            assert got is not None
+            assert got == brute_verify_axioms(rel, max_len)
+            assert got == verify_axioms(SimpleNamespace(alphabet=rel.alphabet, equiv=rel.equiv), max_len)
+
     def test_pair_scan_asks_every_ordered_pair(self):
         swap = swap_ab()
         calls = []
@@ -428,7 +463,8 @@ class TestParseRelation:
 
     def test_reversal_adapter(self):
         rel = parse_relation(AB, "reversal")
-        assert rel.kind == "raw"
+        assert isinstance(rel, Reversal)
+        assert rel.kind == "reversal"
 
     def test_bad_syntax(self):
         with pytest.raises(ValueError):

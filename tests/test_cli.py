@@ -111,6 +111,34 @@ class TestParseConfig:
         assert proc.stderr.startswith("config error: ") and "bad exponent" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_oversized_exponent_is_config_error(self, tmp_path):
+        # one occurrence past the side bound, read even by verify-rel
+        cfg = write(tmp_path, "alphabet: a b\nequation: x^1000001 = x\nmax_len: 1\n")
+        code, out, err = run(["verify-rel", "--config", cfg])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: ")
+        assert "bad equation: side expands past 1000000 occurrences at column 0" in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits differ")
+    def test_huge_exponent_refused_before_expanding(self, tmp_path):
+        # 10^11 occurrences cannot fit in the child's 1 GiB of address space
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        cfg = write(tmp_path, "alphabet: a b\nequation: x^100000000000 = x\nmax_len: 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordeq.cli", "verify-rel", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=cap,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, ""), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/path.cfg")

@@ -53,7 +53,7 @@ BROKEN = {
     "alphabet": ["a a", ""],
     "rel": ["permutation: (a a)", "permutation: (a b", "permutation: (q)", "table: a~bb",
             "table: a~z", "table: a", "table:", "reversal", "frob"],
-    "equation": ["x = = y", "x^0 = y", "= x", "x^ = y", "x", "x^-1 = y"],
+    "equation": ["x = = y", "x^0 = y", "= x", "x^ = y", "x", "x^-1 = y", "x^" + "9" * 5000 + " = x"],
     "assign": ["x", "=a", "x=q y=a z=a", "x=a"],
     "words": ["q", "", "a a"],
     "max_len": ["-1", "x", "+1", ""],

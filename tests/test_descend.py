@@ -25,6 +25,7 @@ from wordeq import (
     ProductLimitExceeded,
     PseudoSolution,
     RankCertificate,
+    Reversal,
     Word,
     WordEqError,
     bounded_rank_certificate,
@@ -88,6 +89,35 @@ def test_first_descent_failure():
     )
     with pytest.raises(DescentFailed, match="^descended morphism does not solve x y = y x$"):
         descend(e, psol(NOT_CUT_CLOSED, x="a", y="ab"))
+
+
+# the abstract's corollary holds for the morphic swap, where every
+# pseudo-solution descends; reversal fails the cut condition, and x y = y x
+# and x^2 y^2 = z^2 (periodic by Lyndon-Schützenberger) each have
+# pseudo-solutions of pseudo-rank 2 that do not descend
+@pytest.mark.parametrize(
+    "text,rel,summary,first,common",
+    [
+        ("x y = y x", Reversal(AB), (66, 2, 1, 20),
+         "PseudoSolution(x->[a], y->[ab]): descended morphism does not solve x y = y x", "aba"),
+        ("x^2 y^2 = z^2", Reversal(AB), (33, 2, 1, 4),
+         "PseudoSolution(x->[a], y->[ab], z->[aab]): descended morphism does not solve x x y y = z z",
+         "aabaab"),
+        ("x y = y x", MorphicPermutation.from_cycles(AB, "(a b)"), (34, 1, 1, 0), None, None),
+        ("x^2 y^2 = z^2", MorphicPermutation.from_cycles(AB, "(a b)"), (25, 1, 1, 0), None, None),
+    ],
+    ids=["commute-reversal", "squares-reversal", "commute-swap", "squares-swap"],
+)
+def test_corollary_boundary(text, rel, summary, first, common):
+    e = parse_equation(text)
+    cert = bounded_rank_certificate(e, AB, rel, 3)
+    assert_same_certificate(cert, brute_certificate(e, AB, rel, 3))
+    assert (cert.pseudo_count, cert.max_pseudo_rank, cert.max_ordinary_rank,
+            len(cert.descent_failures)) == summary
+    if first is not None:
+        assert cert.descent_failures[0] == first
+        p = psol(rel, **dict(zip(e.unknowns.symbols, ("a", "ab", "aab"))))
+        assert str(check_pseudo_solution(e, p).common) == common
 
 
 def test_rank_failures_match_oracle():

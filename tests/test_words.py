@@ -171,6 +171,16 @@ class TestFactorizations:
             assert sorted(tuple(str(f) for f in fs) for fs in got) == sorted(
                 tuple(str(f) for f in fs) for fs in expect
             )
+            # lexicographic in the factors' letters is lexicographic in
+            # their indices into the sorted basis
+            keys = [[f.letters for f in fs] for fs in got]
+            assert keys == sorted(keys)
+
+    def test_long_factorization_without_recursion(self):
+        a = Alphabet("a")
+        got = factorizations(a.word("a" * 1500), [a.word("a")])
+        assert len(got) == 1 and len(got[0]) == 1500
+        assert all(f == a.word("a") for f in got[0])
 
 
 words_ab = st.builds(lambda s: AB.word(s), st.text(alphabet="ab", max_size=6))
