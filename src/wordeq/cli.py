@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -32,7 +33,6 @@ from .equations import (
     BudgetExceeded,
     Equation,
     PseudoSolution,
-    _side_words,
     bounded_rank_certificate,
     check_pseudo_solution,
     parse_equation,
@@ -46,6 +46,7 @@ from .words import (
     ProductLimitExceeded,
     Word,
     WordEqError,
+    _side_words,
 )
 
 EXIT_PASS = 0
@@ -513,7 +514,13 @@ def main(
         print(f"error: {exc}", file=err)
         return EXIT_CONFIG
     started = time.perf_counter()
-    report.write(out, args.machine)
+    try:
+        report.write(out, args.machine)
+        out.flush()
+    except BrokenPipeError:
+        # the reader left early; os.devnull spares the exit flush its closed pipe (signal docs)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), out.fileno())
     report.elapsed_ms += (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms: {report.elapsed_ms:.1f}", file=err)
     return report.exit_code

@@ -16,7 +16,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .anticongruence import Anticongruence, EqClass, Identity
 from .freeness import Basis, Letters, hull_letters, rank
@@ -25,9 +25,11 @@ from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     FiniteLanguage,
-    ProductLimitExceeded,
     Word,
     WordEqError,
+    _guard_error,
+    _join,
+    _side_words,
     least_factorization,
 )
 
@@ -185,25 +187,13 @@ class PseudoSolution:
         return f"PseudoSolution({inner})"
 
 
-def _substitute(side: Word, unknowns: Alphabet, images: Mapping[str, Word]) -> tuple[int, ...]:
-    syms = unknowns.symbols
-    letters: tuple[int, ...] = ()
-    for i in side.letters:
-        name = syms[i]
-        if name not in images:
-            raise MissingImage(f"no image for unknown {name}")
-        letters += images[name].letters
-    return letters
-
-
 def check_solution(e: Equation, phi: Solution) -> bool:
     """Whether substituting the images makes the two sides the same word."""
     for name in e.unknowns.symbols:
         if name not in phi.images:
             raise MissingImage(f"no image for unknown {name}")
-    return _substitute(e.lhs, e.unknowns, phi.images) == _substitute(
-        e.rhs, e.unknowns, phi.images
-    )
+    images = [phi.images[name].letters for name in e.unknowns.symbols]
+    return _join(map(images.__getitem__, e.lhs.letters)) == _join(map(images.__getitem__, e.rhs.letters))
 
 
 def solution_rank(phi: Solution) -> int:
@@ -227,21 +217,11 @@ class PseudoVerdict:
 
     @functools.cached_property
     def lhs_language(self) -> FiniteLanguage:
-        return FiniteLanguage(self.alphabet, tuple(_side_words(self.lhs_classes, _concat)))
+        return FiniteLanguage(self.alphabet, tuple(_side_words(self.lhs_classes)))
 
     @functools.cached_property
     def rhs_language(self) -> FiniteLanguage:
-        return FiniteLanguage(self.alphabet, tuple(_side_words(self.rhs_classes, _concat)))
-
-
-def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
-    """The error words.product raises on the first step of a side product over limit."""
-    acc = 1
-    for s in sizes:
-        if acc * s > limit:
-            break
-        acc *= s
-    return ProductLimitExceeded(f"product of {acc} x {s} words exceeds limit {limit}")
+        return FiniteLanguage(self.alphabet, tuple(_side_words(self.rhs_classes)))
 
 
 def _require_limit(limit: int) -> None:
@@ -249,28 +229,6 @@ def _require_limit(limit: int) -> None:
     rejected before any work, the same way by every function that takes one."""
     if limit < 1:
         raise ValueError(f"product limit must be at least 1, got {limit}")
-
-
-def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any]) -> Iterator:
-    """The words of a side, one member of each class concatenated, one at a
-    time in the order of itertools.product.
-
-    join concatenates a tuple of members; a word is the join of its
-    members in all classes but the last, plus (+) its last member. Given
-    each class's members sorted and of one length, as class_letters gives
-    them, the words come sorted and distinct: two tuples of members first
-    differ in one class, and there the two members start at the same
-    position and differ within their common length. So a side language is
-    read in order without ever being held whole. The members may also be
-    stand-ins such as spelled pieces, as long as their order is kept.
-    """
-    if not classes:
-        return iter([join(())])
-    *head, last = classes
-    return (p + m for p in map(join, itertools.product(*head)) for m in last)
-
-
-_concat = functools.partial(sum, start=())
 
 
 def _least_common(
@@ -290,8 +248,8 @@ def _least_common(
     if p_other < p_side:
         side, other, p_other = other, side, p_side
     if p_other == 1:  # one word on each side
-        word = sum([c[0] for c in side], ())
-        return word if word == sum([c[0] for c in other], ()) else None
+        word = _join(c[0] for c in side)
+        return word if word == _join(c[0] for c in other) else None
     stops = [*itertools.accumulate((len(c[0]) for c in side), initial=0)]
     ends = [*itertools.accumulate((len(c[0]) for c in other), initial=0)]
     if stops[-1] != ends[-1]:
@@ -384,8 +342,8 @@ def align_equivalent_sides(
             raise ValueError(
                 f"occurrences {i} and {j} of {all_names[i]} carry non-equivalent words"
             )
-    left = Word(alphabet, sum((w.letters for w in side_words[:n_l]), ()))
-    right = Word(alphabet, sum((w.letters for w in side_words[n_l:]), ()))
+    left = Word(alphabet, _join(w.letters for w in side_words[:n_l]))
+    right = Word(alphabet, _join(w.letters for w in side_words[n_l:]))
     if len(left) != len(right) or not rel.equiv(left, right):
         raise ValueError("concatenated sides are not equivalent")
 
@@ -474,8 +432,8 @@ def _descent(
             words = Basis(tuple(Word(rel.alphabet, b) for b in basis))
             raise NotInMonoid(f"{rep} is not in the monoid of {words}")
         images[name] = tuple(class_index[b] for b in factors)
-    lhs = sum((images[syms[i]] for i in e.lhs.letters), ())
-    rhs = sum((images[syms[i]] for i in e.rhs.letters), ())
+    lhs = _join(images[syms[i]] for i in e.lhs.letters)
+    rhs = _join(images[syms[i]] for i in e.rhs.letters)
     if lhs != rhs:
         raise DescentFailed(f"descended morphism does not solve {e}")
     r = len(_cached_hull(_CLASS_INDEX_IDENTITY, frozenset(w for w in images.values() if w)))
@@ -892,10 +850,7 @@ def elementary_transform(
     sub = {l_idx: (s_idx,) if rename else (s_idx, l_idx)}
 
     def rewrite(side: Word) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for i in side.letters:
-            out += sub.get(i, (i,))
-        return out
+        return _join(sub.get(i, (i,)) for i in side.letters)
 
     new_lhs = rewrite(e.lhs)
     new_rhs = rewrite(e.rhs)

@@ -10,6 +10,7 @@ classes of its basis. Under the identity relation it is the free hull.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,9 +21,10 @@ from .words import (
     FiniteLanguage,
     Word,
     WordEqError,
+    _guard_error,
+    _side_words,
     least_factorization,
     letters_over,
-    product,
 )
 
 
@@ -54,13 +56,13 @@ class ClassWord:
         return "(" + ", ".join(str(c) for c in self.classes) + ")" if self.classes else "()"
 
     def language(self, limit: int = DEFAULT_PRODUCT_LIMIT) -> FiniteLanguage:
-        """The set product of the member classes, c1 ⊙ c2 ⊙ ... ⊙ cm."""
+        """The set product c1 ⊙ c2 ⊙ ... ⊙ cm of the classes, guarded as words.product is."""
         if not self.classes:
             raise ValueError("empty class word has no alphabet to build {ε} over")
-        acc = FiniteLanguage.unit(self.classes[0].rep.alphabet)
-        for c in self.classes:
-            acc = product(acc, c.language(), limit=limit)
-        return acc
+        members = [c.language().letters for c in self.classes]
+        if math.prod(map(len, members)) > limit:
+            raise _guard_error([*map(len, members)], limit)
+        return FiniteLanguage(self.classes[0].rep.alphabet, tuple(_side_words(members)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 
@@ -224,6 +224,41 @@ def product(
         raise ProductLimitExceeded(f"product of {len(k)} x {len(l)} words exceeds limit {limit}")
     # operands of mixed lengths can give one word twice, as a·ab = aa·b
     return FiniteLanguage.of_letters(k.alphabet, {u + v for u in k.letters for v in l.letters})
+
+
+def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
+    """The error product raises on the first step of a side product over limit."""
+    acc = 1
+    for s in sizes:
+        if acc * s > limit:
+            break
+        acc *= s
+    return ProductLimitExceeded(f"product of {acc} x {s} words exceeds limit {limit}")
+
+
+def _join(parts: Iterable[tuple]) -> tuple:
+    """The concatenation of tuples, in time linear in the total length: each part
+    extends one list in place, from which the tuple is sized exactly."""
+    return tuple(functools.reduce(list.__iadd__, parts, []))
+
+
+def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any] = _join) -> Iterator:
+    """The words of a side, one member of each class concatenated, one at a
+    time in the order of itertools.product.
+
+    join concatenates a tuple of members; a word is the join of its
+    members in all classes but the last, plus (+) its last member. Given
+    each class's members sorted and of one length, as class_letters gives
+    them, the words come sorted and distinct: two tuples of members first
+    differ in one class, and there the two members start at the same
+    position and differ within their common length. So a side language is
+    read in order without ever being held whole. The members may also be
+    stand-ins such as spelled pieces, as long as their order is kept.
+    """
+    if not classes:
+        return iter([join(())])
+    *head, last = classes
+    return (p + m for p in map(join, itertools.product(*head)) for m in last)
 
 
 def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]) -> list[bool]:

@@ -10,8 +10,11 @@ several chunks and product guards that stop the check with the same
 message. The x^6 y = y x^6 run pins the memory that streaming
 saves: its two sides hold 279,936 words each. The x^6 y = x^6 y run
 pins the memory of the decision, whose two sides agree on every word.
+A reader that closes the pipe early, and sides of 1,000,000 occurrences,
+end in the report's exit code too.
 """
 import io
+import json
 import os
 import random
 import subprocess
@@ -116,6 +119,11 @@ def test_streamed_report_matches_whole_report(tmp_path, monkeypatch):
     assert seen == {(kind, flag) for kind in kinds for flag in (True, False)}
 
 
+def child_env():
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 # Linux carries a process's peak RSS across fork and exec, so a child of the
 # test process would report at least the test process's own peak; a fresh
 # interpreter in between starts the CLI and reports its children's peak
@@ -131,11 +139,55 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 def test_large_check_report_streams_in_bounded_memory(config):
     # built whole, the two 279,936-word sides of these reports peak at ~170 MB;
     # on x6y_same every word of a side survives every cut of the other
-    paths = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(config), "--machine"]
     proc = subprocess.run([sys.executable, "-c", PEAK_OF_CHILD, *cli_run],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(), check=True)
     code, peak_kib = map(int, proc.stdout.split())
     assert code == cli.EXIT_PASS
     assert peak_kib < 60 * 1024
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a closed pipe raises BrokenPipeError on POSIX")
+def test_reader_that_stops_early_ends_the_run_cleanly():
+    # the report has 2 x 279,936 words; the reader takes 50 bytes and leaves
+    cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(X6Y), "--machine"]
+    proc = subprocess.Popen(cli_run, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PASS, err
+    assert head.startswith(b'{"command": "check"')
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+LONG_SIDES = """
+from wordeq import Alphabet, EqClass, Identity, PseudoSolution, Solution, parse_equation
+from wordeq import check_pseudo_solution, check_solution, descend
+e = parse_equation("x^1000000 = x^1000000")
+rel = Identity(Alphabet("ab"))
+a = rel.alphabet.word("a")
+psol = PseudoSolution(rel, {"x": EqClass.of(rel, a)})
+lhs = check_pseudo_solution(e, psol).lhs_language
+print(check_solution(e, Solution({"x": a})), len(lhs), lhs.letters == ((0,) * 10**6,),
+      descend(e, psol).pseudo_rank())
+"""
+
+
+def test_long_sides_are_joined_in_linear_time():
+    # each side joins 1,000,000 occurrences, the most parse_equation takes;
+    # a join quadratic in the occurrences runs for hours here
+    n = 10**6
+    config = HERE / "x1m_same.cfg"
+    cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(config), "--machine"]
+    proc = subprocess.run(cli_run, capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == cli.EXIT_PASS, proc.stderr
+    word = "a" * n
+    expect = {"command": "check", "alphabet": ["a", "b"], "relation": "identity",
+              "equation": f"x^{n} = x^{n}", "assign": {"x": "a"}, "valid": True,
+              "common": word, "lhs_language": [word], "rhs_language": [word]}
+    assert proc.stdout == json.dumps(expect) + "\n"
+    proc = subprocess.run([sys.executable, "-c", LONG_SIDES], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "1", "True", "1"]

@@ -7,10 +7,13 @@ from wordeq import (
     Alphabet,
     AlphabetMismatch,
     Basis,
+    ClassWord,
     EqClass,
+    FiniteLanguage,
     Identity,
     MorphicPermutation,
     NotInMonoid,
+    ProductLimitExceeded,
     PseudoFreeBasis,
     Word,
     close_pairs,
@@ -21,11 +24,12 @@ from wordeq import (
     free_hull,
     is_code,
     parse_relation,
+    product,
     pseudo_free_hull,
     pseudo_rank,
 )
 
-from oracles import all_word_sets, brute_class_factorization, brute_reachable
+from oracles import all_word_sets, brute_class_factorization, brute_product_letters, brute_reachable
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -236,6 +240,32 @@ class TestClassFactorization:
             hull = pseudo_free_hull(rel, xs)
             for w in xs:
                 assert class_factorization(hull, w) == brute_class_factorization(hull, w), strs(xs)
+
+    @pytest.mark.parametrize("text", ["permutation: (a b)", "table: a~b, ab~ba, aab~bba"])
+    def test_class_word_language_against_product_fold(self, text):
+        # the language is the fold of the pairwise product over the classes,
+        # and one under its size trips the guard with the fold's message
+        rel = parse_relation(AB, text)
+        class_words = {class_factorization(pseudo_free_hull(rel, xs), w)
+                       for xs in all_word_sets(AB, 3, 4) for w in xs}
+        assert len(class_words) > 20 and max(map(len, class_words)) > 2
+        for cw in class_words:
+            acc = {()}
+            for c in cw:
+                acc = brute_product_letters(acc, c.language().letters, 10**6)
+            lang = cw.language()
+            assert lang.alphabet == AB and lang.letters == tuple(sorted(acc)), cw
+            limit = len(acc) - 1
+            with pytest.raises(ProductLimitExceeded) as fold:
+                folded = FiniteLanguage.unit(AB)
+                for c in cw:
+                    folded = product(folded, c.language(), limit=limit)
+            with pytest.raises(ProductLimitExceeded) as got:
+                cw.language(limit)
+            assert str(got.value) == str(fold.value), cw
+        # each class is read through its relation, which refuses another alphabet
+        with pytest.raises(AlphabetMismatch):
+            ClassWord((*cw, EqClass(rel, ABC.word("c")))).language()
 
     def test_hand_built_basis_without_classes(self):
         rel = swap_ab()
