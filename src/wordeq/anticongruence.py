@@ -25,6 +25,9 @@ from .words import (
 )
 
 DEFAULT_WORD_GUARD = 2_000
+# entries of a MorphicPermutation's orbit cache; it is emptied before it
+# would pass this, so a long run over many words holds a bounded cache
+CLASS_CACHE_SIZE = 1 << 16
 
 
 class Anticongruence:
@@ -151,6 +154,8 @@ class MorphicPermutation(Anticongruence):
             orbit.add(cur)
             cur = self.apply_letters(cur)
         members = tuple(sorted(orbit))
+        if len(self._class_cache) + len(members) > CLASS_CACHE_SIZE:
+            self._class_cache.clear()
         for m in members:
             self._class_cache[m] = members
         return members
@@ -243,7 +248,7 @@ def close_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> Finit
     return FiniteTable(alphabet, letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqClass:
     """An equivalence class, stored as relation handle plus canonical representative.
 
@@ -278,7 +283,7 @@ class EqClass:
         return f"[{self.rep}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomViolation:
     """First failure found by verify_axioms, with the witnessing words.
 

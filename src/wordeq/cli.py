@@ -201,7 +201,7 @@ def _massign_class(images: dict[str, EqClass], order: tuple[str, ...]) -> dict[s
     return {x: _mword(images[x].rep) for x in order if x in images}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SideLanguage:
     """A report's side language, held as the sorted members of its
     occurrences' classes and spelled only while the report is written."""
@@ -213,17 +213,22 @@ class SideLanguage:
         """The spelled words in order, SPELL_CHUNK to a piece, separated by
         ", ": JSON strings if machine, else bare words with ε for the empty one.
 
-        Each class member is spelled (and JSON-escaped, which works symbol by
-        symbol) once, after the symbol separator unless its class comes
-        first, and a word concatenates its members' pieces. The class of ε
-        adds nothing to a word, so it is left out of the product.
+        Each member of each distinct class is spelled (and JSON-escaped,
+        which works symbol by symbol) once, after the symbol separator
+        unless its class comes first, and a word concatenates its members'
+        pieces. The class of ε adds nothing to a word, so it is left out of
+        the product.
         """
         spell, sep = self.alphabet.spell, self.alphabet.sep
         quote = (lambda text: json.dumps(text)[1:-1]) if machine else str
         classes = [c for c in self.classes if c != ((),)]
-        pieces = [
-            tuple((sep if i else "") + quote(spell(m)) for m in c) for i, c in enumerate(classes)
-        ]
+        spelled: dict[tuple, tuple[str, ...]] = {}  # (class, comes first) -> its pieces
+        pieces = []
+        for i, c in enumerate(classes):
+            key = (c, not i)
+            if key not in spelled:
+                spelled[key] = tuple((sep if i else "") + quote(spell(m)) for m in c)
+            pieces.append(spelled[key])
         words = _side_words(pieces, "".join)
         glue = '", "' if machine else ", "
         for start in range(0, math.prod(map(len, pieces)), SPELL_CHUNK):

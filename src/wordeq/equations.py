@@ -59,7 +59,7 @@ class BudgetExceeded(WordEqError):
         self.emitted = emitted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equation:
     """A pair of sides over an alphabet of unknowns."""
 
@@ -362,7 +362,7 @@ def align_equivalent_sides(
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentResult:
     """Ordinary solution over the class alphabet produced from a pseudo-solution."""
 
@@ -724,7 +724,7 @@ def enumerate_pseudo_solutions(
         raise BudgetExceeded(f"assignment budget {budget} exceeded", bound, emitted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankCertificate:
     """Bounded-search report: rank maxima with witnesses, plus the descent check.
 

@@ -37,7 +37,7 @@ class NotClassClosed(WordEqError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeVerdict:
     """Outcome of a code test.
 
@@ -55,7 +55,7 @@ class CodeVerdict:
         return self.is_code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Basis:
     """Duplicate-free set of nonempty words that is a code and a minimal generating set."""
 
@@ -87,7 +87,9 @@ def is_code(words: Iterable[Word]) -> CodeVerdict:
     return CodeVerdict(False, Word(alphabet, witness), fa, fb)
 
 
-@lru_cache(maxsize=1 << 16)
+# hits come from recent hulls, so 4,096 entries keep nearly all of them;
+# a larger cache mostly holds frozensets that are never asked again
+@lru_cache(maxsize=1 << 12)
 def _is_code_cached(words: frozenset[Letters]) -> Optional[tuple[Letters, tuple, tuple]]:
     """None for a code, else the witness and its two factor sequences, as letter tuples."""
     bs = sorted(words)

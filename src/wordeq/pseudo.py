@@ -32,16 +32,19 @@ class NotInMonoid(WordEqError):
     """A word lies outside the monoid generated by the basis at hand."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassWord:
     """A word over the class alphabet: a finite sequence of equivalence classes."""
 
     classes: tuple[EqClass, ...]
 
     def __post_init__(self) -> None:
-        rels = {c.rel for c in self.classes}
-        if len(rels) > 1:
-            raise ValueError("classes from different relations in one class word")
+        # equal relations (two Identity objects over one alphabet) count as one
+        if self.classes:
+            rel = self.classes[0].rel
+            for c in self.classes:
+                if c.rel is not rel and c.rel != rel:
+                    raise ValueError("classes from different relations in one class word")
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -65,7 +68,7 @@ class ClassWord:
         return FiniteLanguage(self.classes[0].rep.alphabet, tuple(_side_words(members)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseudoFreeBasis:
     """Free basis of a class-closed free monoid, together with its class set.
 

@@ -30,7 +30,7 @@ class EnumerationGuardExceeded(WordEqError):
     """An exhaustive sweep would enumerate more items than allowed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alphabet:
     """Ordered finite set of distinct symbol names.
 
@@ -98,7 +98,7 @@ class Alphabet:
             yield from self.words_of_length(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Finite sequence of symbol indices over an alphabet; () is the empty word."""
 

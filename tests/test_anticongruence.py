@@ -22,6 +22,7 @@ from wordeq import (
 )
 
 from oracles import brute_closed_pairs, brute_verify_axioms, orbit_equiv
+from wordeq.anticongruence import CLASS_CACHE_SIZE
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -473,3 +474,19 @@ class TestParseRelation:
             parse_relation(AB, "table: a~")
         with pytest.raises(ValueError):
             parse_relation(AB, "permutation: (a a)")
+
+
+def test_orbit_cache_is_bounded():
+    # 3^11 = 177,147 words of length 11 under (a b c), in orbits of three: the
+    # cache would hold every word unbounded, and must empty itself instead
+    rel = MorphicPermutation.from_cycles(ABC, "(a b c)")
+    sizes = []
+    for w in itertools.product(range(3), repeat=11):
+        shifted = tuple((i + 1) % 3 for i in w)
+        orbit = {w, shifted, tuple((i + 1) % 3 for i in shifted)}
+        assert rel.class_letters(w) == tuple(sorted(orbit))
+        sizes.append(len(rel._class_cache))
+    assert max(sizes) <= CLASS_CACHE_SIZE
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was emptied at least once
+    w = (0,) * 11
+    assert rel.class_letters(w) is rel.class_letters(w)  # still a cache after emptying

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_check_report, brute_side_letters
-from wordeq import EqClass, Identity, ProductLimitExceeded, PseudoSolution, check_pseudo_solution
+from wordeq import Alphabet, EqClass, Identity, ProductLimitExceeded, PseudoSolution, check_pseudo_solution
 from wordeq import cli
 
 HERE = Path(__file__).resolve().parent
@@ -117,6 +117,24 @@ def test_streamed_report_matches_whole_report(tmp_path, monkeypatch):
         seen.add(("spaced", cfg.alphabet.sep == " "))
     kinds = ("valid", "chunks", "ε image", "escaped", "spaced", "guard")
     assert seen == {(kind, flag) for kind in kinds for flag in (True, False)}
+
+
+def test_side_spells_each_distinct_class_once(monkeypatch):
+    # 10,000 occurrences of {a, b}: each member is spelled once as the first
+    # class and once after it, not once per occurrence
+    spelled = []
+    spell = Alphabet.spell
+    monkeypatch.setattr(Alphabet, "spell", lambda self, letters: spelled.append(letters) or spell(self, letters))
+    side = cli.SideLanguage(Alphabet("ab"), (((0,), (1,)),) * 10_000)
+    for machine in (True, False):
+        spelled.clear()
+        first = next(side.chunks(machine))
+        assert len(spelled) == 4
+        words = json.loads(f"[{first}]") if machine else first.split(", ")
+        assert len(words) == cli.SPELL_CHUNK
+        assert words[0] == "a" * 10_000
+        assert words[1] == "a" * 9_999 + "b"
+        assert words[-1] == "a" * (10_000 - 12) + "b" * 12
 
 
 def child_env():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -21,6 +22,7 @@ from wordeq import (
     pseudo_free_hull,
     rank,
 )
+from wordeq.freeness import _is_code_cached
 from wordeq.words import least_factorization
 
 from oracles import PairTable, all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
@@ -235,3 +237,17 @@ def test_hull_that_is_not_class_closed_raises_library_error():
     with pytest.raises(NotClassClosed, match="basis not class-closed"):
         pseudo_free_hull(rel, words(AB, "a", "aa"))
     assert issubclass(NotClassClosed, WordEqError)
+
+
+def test_code_cache_is_bounded_and_verdicts_survive_eviction():
+    sets = [sorted(xs) for xs in all_word_sets(AB, 2, 3)]
+    before = [is_code(xs).is_code for xs in sets]
+    # 5,000 distinct pairs of words up to length 6 push every earlier entry out
+    universe = [w for w in AB.words_up_to(6) if w.letters]
+    for pair in itertools.islice(itertools.combinations(universe, 2), 5000):
+        is_code(pair)
+    info = _is_code_cached.cache_info()
+    assert info.maxsize == 4096
+    assert info.currsize <= 4096
+    after = [is_code(xs).is_code for xs in sets]
+    assert after == before == [brute_is_code(xs) for xs in sets]

@@ -369,3 +369,22 @@ class TestEqClassOrdering:
         assert str(c) == "[a]"
         with pytest.raises(ValueError):
             hull.class_of_basis_word(ABC.word("abc"))
+
+
+class TestClassWordRelation:
+    def test_classes_of_two_relations_raise(self):
+        a, b = AB.word("a"), AB.word("b")
+        swap = swap_ab()
+        with pytest.raises(ValueError, match="different relations"):
+            ClassWord((EqClass(swap, a), EqClass(swap_ab(), a)))
+        with pytest.raises(ValueError, match="different relations"):
+            ClassWord((EqClass(Identity(AB), b), EqClass(swap, a), EqClass(swap, a)))
+        with pytest.raises(ValueError, match="different relations"):
+            ClassWord((EqClass(Identity(AB), a), EqClass(Identity(ABC), ABC.word("a"))))
+
+    def test_equal_relations_count_as_one(self):
+        a, b = AB.word("a"), AB.word("b")
+        cw = ClassWord((EqClass(Identity(AB), a), EqClass(Identity(Alphabet("ab")), b)))
+        assert len(cw) == 2
+        swap = swap_ab()
+        assert len(ClassWord((EqClass(swap, a),) * 3) + ClassWord(())) == 3
