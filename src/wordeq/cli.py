@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -46,7 +45,7 @@ from .words import (
     ProductLimitExceeded,
     Word,
     WordEqError,
-    _side_words,
+    _side_blocks,
 )
 
 EXIT_PASS = 0
@@ -55,7 +54,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 HUMAN_TABLE_ROWS = 50
-SPELL_CHUNK = 4096  # side-language words per write, which bounds a report's peak memory
+SPELL_CHUNK = 4096  # most side-language words per write, which bounds a report's peak memory
 
 
 class ConfigError(WordEqError):
@@ -210,14 +209,18 @@ class SideLanguage:
     classes: Sequence[tuple[Letters, ...]]
 
     def chunks(self, machine: bool) -> Iterator[str]:
-        """The spelled words in order, SPELL_CHUNK to a piece, separated by
-        ", ": JSON strings if machine, else bare words with ε for the empty one.
+        """The spelled words in order, 1 to SPELL_CHUNK to a piece, separated
+        by ", ": JSON strings if machine, else bare words with ε for the empty one.
 
         Each member of each distinct class is spelled (and JSON-escaped,
         which works symbol by symbol) once, after the symbol separator
         unless its class comes first, and a word concatenates its members'
         pieces. The class of ε adds nothing to a word, so it is left out of
-        the product.
+        the product. The product is read a block at a time (see
+        words._side_blocks): the block of a head prefix p is written as
+        p + (glue + p).join(tail), one C-level join, and a piece holds as
+        many whole blocks as fit in SPELL_CHUNK words, or a SPELL_CHUNK
+        slice of one block when the tail alone is larger.
         """
         spell, sep = self.alphabet.spell, self.alphabet.sep
         quote = (lambda text: json.dumps(text)[1:-1]) if machine else str
@@ -229,13 +232,18 @@ class SideLanguage:
             if key not in spelled:
                 spelled[key] = tuple((sep if i else "") + quote(spell(m)) for m in c)
             pieces.append(spelled[key])
-        words = _side_words(pieces, "".join)
+        prefixes, tail = _side_blocks(pieces, SPELL_CHUNK, "".join)
         glue = '", "' if machine else ", "
-        for start in range(0, math.prod(map(len, pieces)), SPELL_CHUNK):
-            text = glue.join(itertools.islice(words, SPELL_CHUNK))
-            if start:
-                yield ", "
-            yield f'"{text}"' if machine else text or "ε"
+        slices = [tail[i : i + SPELL_CHUNK] for i in range(0, len(tail), SPELL_CHUNK)]
+        per_piece = max(SPELL_CHUNK // len(tail), 1)  # prefixes per piece
+        first = True
+        for batch in iter(lambda: [*itertools.islice(prefixes, per_piece)], []):
+            for block in slices:
+                text = glue.join([p + (glue + p).join(block) for p in batch])
+                if not first:
+                    yield ", "
+                first = False
+                yield f'"{text}"' if machine else text or "ε"
 
 
 @dataclass

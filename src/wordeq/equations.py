@@ -257,19 +257,19 @@ def _least_common(
     blocks = [*zip(ends, ends[1:], other)]  # (start, end, class) of each block of other
     at = functools.partial(bisect.bisect_right, ends)  # at(p) - 1: the first block to end after p
     cuts = [blocks[at(s) - 1 : at(t) - 1] for s, t in zip(stops, stops[1:])]  # those ending in each class
-    word: Letters = ()  # the last partial word to clear its cuts
+    word: list[int] = []  # word[: stops[i]] cleared the cuts of classes 0..i-1
     untried = [iter(side[0])]  # untried[i]: the members of class i not yet tried
     while untried:
         i = len(untried) - 1
         for v in untried[i]:
-            w = word[: stops[i]] + v
+            del word[stops[i] :]
+            word += v
             for a, b, block in cuts[i]:
-                if w[a:b] not in block:
+                if tuple(word[a:b]) not in block:
                     break
             else:  # on to the next class
                 if i + 1 == len(side):
-                    return w
-                word = w
+                    return tuple(word)
                 untried.append(iter(side[i + 1]))
                 break
         else:  # class i is spent: back to the previous class

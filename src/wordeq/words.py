@@ -242,23 +242,41 @@ def _join(parts: Iterable[tuple]) -> tuple:
     return tuple(functools.reduce(list.__iadd__, parts, []))
 
 
-def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any] = _join) -> Iterator:
-    """The words of a side, one member of each class concatenated, one at a
-    time in the order of itertools.product.
+SIDE_BLOCK = 4096  # most tail words _side_blocks holds, unless the last class alone has more
 
-    join concatenates a tuple of members; a word is the join of its
-    members in all classes but the last, plus (+) its last member. Given
-    each class's members sorted and of one length, as class_letters gives
-    them, the words come sorted and distinct: two tuples of members first
-    differ in one class, and there the two members start at the same
+
+def _side_blocks(
+    classes: Sequence[Sequence], size: int, join: Callable[[tuple], Any]
+) -> tuple[Iterator, list]:
+    """A side's product of classes split in two: the joined head prefixes, in
+    the order of itertools.product over the leading classes, and the list of
+    joined tail words over the rest, so that the side's words are p + t for
+    each prefix p and, within it, each tail word t.
+
+    The tail is the longest suffix of classes whose product has at most size
+    words, and it always holds the last class; it is read once, in order.
+    Given each class's members sorted and of one length, as class_letters
+    gives them, the words come sorted and distinct: two tuples of members
+    first differ in one class, and there the two members start at the same
     position and differ within their common length. So a side language is
-    read in order without ever being held whole. The members may also be
-    stand-ins such as spelled pieces, as long as their order is kept.
+    read in order, a block of one prefix at a time, without ever being held
+    whole. The members may also be stand-ins such as spelled pieces, as
+    long as their order is kept.
     """
-    if not classes:
-        return iter([join(())])
-    *head, last = classes
-    return (p + m for p in map(join, itertools.product(*head)) for m in last)
+    cut = max(len(classes) - 1, 0)
+    count = len(classes[-1]) if classes else 1
+    while cut and count * len(classes[cut - 1]) <= size:
+        cut -= 1
+        count *= len(classes[cut])
+    tail = [*map(join, itertools.product(*classes[cut:]))]
+    return map(join, itertools.product(*classes[:cut])), tail
+
+
+def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any] = _join) -> Iterator:
+    """The words of a side, one member of each class concatenated (by join,
+    then +), one at a time in sorted order; see _side_blocks."""
+    prefixes, tail = _side_blocks(classes, SIDE_BLOCK, join)
+    return (p + t for p in prefixes for t in tail)
 
 
 def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]) -> list[bool]:

@@ -11,10 +11,13 @@ message. The x^6 y = y x^6 run pins the memory that streaming
 saves: its two sides hold 279,936 words each. The x^6 y = x^6 y run
 pins the memory of the decision, whose two sides agree on every word.
 A reader that closes the pipe early, and sides of 1,000,000 occurrences,
-end in the report's exit code too.
+end in the report's exit code too. Every piece the writer yields holds 1
+to SPELL_CHUNK words, whatever the shape of the side's classes.
 """
 import io
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -25,7 +28,7 @@ import pytest
 
 from oracles import brute_check_report, brute_side_letters
 from wordeq import Alphabet, EqClass, Identity, ProductLimitExceeded, PseudoSolution, check_pseudo_solution
-from wordeq import cli
+from wordeq import cli, words
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
@@ -137,6 +140,91 @@ def test_side_spells_each_distinct_class_once(monkeypatch):
         assert words[-1] == "a" * (10_000 - 12) + "b" * 12
 
 
+# plain, spaced, JSON-escaped, and spaced and escaped symbols; none holds
+# ", ", so a human piece splits back into its words
+CHUNK_ALPHABETS = [("a", "b", "c"), ("a1", "b1", "c1"), ('"', "\\", "\x01"), ('q"', "b\\", "é")]
+
+
+def random_chunk_side(rng, chunk):
+    """Sorted classes of one member length each, in one of four shapes: mixed,
+    a class larger than the chunk, a big class in front of single-member
+    classes, or ε only."""
+    shape = rng.choice(["mixed", "over chunk", "big first", "ε only"])
+    if shape == "ε only":
+        return shape, [((),)] * rng.randint(0, 3)
+    if shape == "over chunk":  # the fewest words of one length past the chunk
+        n = next(n for n in range(1, 10) if 3**n > chunk)
+        big = tuple(itertools.product(range(3), repeat=n))
+        return shape, [random_class(rng, 1)] * rng.randint(0, 2) + [big]
+    if shape == "big first":
+        return shape, [tuple(itertools.product(range(3), repeat=2))] + [
+            random_class(rng, 1, 1) for _ in range(rng.randint(1, 4))]
+    classes = [random_class(rng, rng.choice([0, 1, 1, 2])) for _ in range(rng.randint(1, 5))]
+    return shape, classes
+
+
+def random_class(rng, n, size=None):
+    """A sorted class of size distinct members of length n over 3 letters."""
+    pool = list(itertools.product(range(3), repeat=n))
+    return tuple(sorted(rng.sample(pool, size or rng.randint(1, len(pool)))))
+
+
+def test_chunks_hold_at_most_spell_chunk_words(monkeypatch):
+    # every piece the writer yields holds 1 to SPELL_CHUNK words, and the
+    # pieces in order are the sorted set product spelled word by word
+    rng = random.Random(21)
+    # 9^4 = 6,561 words at the shipped size: blocks of 729 words, 5 to a piece
+    cases = [(4096, "mixed", [tuple(itertools.product(range(3), repeat=2))] * 4)]
+    for chunk in (rng.choice([1, 2, 3, 7, 4096]) for _ in range(400)):
+        cases.append((chunk, *random_chunk_side(rng, chunk)))
+    seen = set()
+    for chunk, shape, classes in cases:
+        monkeypatch.setattr(cli, "SPELL_CHUNK", chunk)
+        alphabet = Alphabet(rng.choice(CHUNK_ALPHABETS))
+        expect = sorted({sum(t, ()) for t in itertools.product(*classes)})
+        side = cli.SideLanguage(alphabet, tuple(classes))
+        for machine in (True, False):
+            out = list(side.chunks(machine))
+            assert out[1::2] == [", "] * (len(out) // 2), classes
+            pieces = out[::2]
+            if machine:
+                spelled = [json.dumps(alphabet.spell(w)) for w in expect]
+                counts = [len(json.loads(f"[{p}]")) for p in pieces]
+            else:
+                spelled = [alphabet.spell(w) or "ε" for w in expect]
+                counts = [len(p.split(", ")) for p in pieces]
+            assert all(1 <= n <= chunk for n in counts), (chunk, classes, counts)
+            assert "".join(out) == ", ".join(spelled), (chunk, classes)
+        seen.add(shape)
+        seen.add(("pieces", len(pieces) > 1))
+        seen.add(("spaced", alphabet.sep == " "))
+        seen.add(("escaped", '"' in alphabet.symbols[0]))
+    assert seen == {"mixed", "over chunk", "big first", "ε only"} | {
+        (kind, flag) for kind in ("pieces", "spaced", "escaped") for flag in (True, False)}
+
+
+def test_side_words_cross_block_boundaries(monkeypatch):
+    # the letter-tuple reader is the sorted set product, whether a side fits
+    # one block or takes several
+    rng = random.Random(22)
+    for _ in range(300):
+        monkeypatch.setattr(words, "SIDE_BLOCK", rng.choice([1, 2, 3, 7]))
+        classes = random_chunk_side(rng, words.SIDE_BLOCK)[1]
+        expect = sorted({sum(t, ()) for t in itertools.product(*classes)})
+        assert [*words._side_words(classes)] == expect, (words.SIDE_BLOCK, classes)
+        # the tail is the longest suffix of at most SIDE_BLOCK words, or the last class
+        sizes = [math.prod(len(c) for c in classes[j:]) for j in range(len(classes))]
+        longest = max([n for n in sizes if n <= words.SIDE_BLOCK] + sizes[-1:] + [1])
+        tail = words._side_blocks(classes, words.SIDE_BLOCK, words._join)[1]
+        assert len(tail) == longest, (words.SIDE_BLOCK, classes)
+    monkeypatch.undo()
+    classes = [tuple(itertools.product(range(3), repeat=2))] * 4  # 6,561 words
+    prefixes, tail = words._side_blocks(classes, words.SIDE_BLOCK, words._join)
+    assert (len(list(prefixes)), len(tail)) == (9, 729)
+    expect = sorted({sum(t, ()) for t in itertools.product(*classes)})
+    assert [*words._side_words(classes)] == expect
+
+
 def child_env():
     paths = [str(SRC), os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -209,3 +297,18 @@ def test_long_sides_are_joined_in_linear_time():
                           env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "1", "True", "1"]
+
+
+def test_long_sides_with_a_two_member_class_are_checked_in_linear_time():
+    # each side has 999,999 occurrences of {a} and one of {b, c}; a walk that
+    # copies its partial word at every class runs for hours here
+    n = 999_999
+    config = HERE / "x1m_y_swap.cfg"
+    cli_run = [sys.executable, "-m", "wordeq.cli", "check", "--config", str(config), "--machine"]
+    proc = subprocess.run(cli_run, capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == cli.EXIT_PASS, proc.stderr
+    side = ["a" * n + "b", "a" * n + "c"]
+    expect = {"command": "check", "alphabet": ["a", "b", "c"], "relation": "permutation: (b c)",
+              "equation": f"x^{n} y = x^{n} y", "assign": {"x": "a", "y": "b"}, "valid": True,
+              "common": side[0], "lhs_language": side, "rhs_language": side}
+    assert proc.stdout == json.dumps(expect) + "\n"
