@@ -40,6 +40,7 @@ from .freeness import Letters, rank
 from .pseudo import pseudo_free_hull
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
+    SIDE_BLOCK,
     Alphabet,
     EnumerationGuardExceeded,
     ProductLimitExceeded,
@@ -54,7 +55,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 HUMAN_TABLE_ROWS = 50
-SPELL_CHUNK = 4096  # most side-language words per write, which bounds a report's peak memory
+SPELL_CHUNK = SIDE_BLOCK  # most side-language words per write, which bounds a report's peak memory
 
 
 class ConfigError(WordEqError):

@@ -242,7 +242,7 @@ def _join(parts: Iterable[tuple]) -> tuple:
     return tuple(functools.reduce(list.__iadd__, parts, []))
 
 
-SIDE_BLOCK = 4096  # most tail words _side_blocks holds, unless the last class alone has more
+SIDE_BLOCK = 4096  # most words in a block of a side's product, unless its last class alone has more
 
 
 def _side_blocks(
