@@ -17,8 +17,9 @@ import os
 import re
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, NoReturn, Optional, Sequence, TextIO
+from typing import Callable, Iterator, NoReturn, Optional, Sequence, TextIO
 
 from .anticongruence import (
     Anticongruence,
@@ -30,9 +31,9 @@ from .anticongruence import (
 )
 from .equations import (
     BudgetExceeded,
+    CertificateRows,
     Equation,
     PseudoSolution,
-    bounded_rank_certificate,
     check_pseudo_solution,
     parse_equation,
 )
@@ -55,7 +56,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 HUMAN_TABLE_ROWS = 50
-SPELL_CHUNK = SIDE_BLOCK  # most side-language words per write, which bounds a report's peak memory
+SPELL_CHUNK = SIDE_BLOCK  # most side-language words or search rows per write, which bounds a report's peak memory
 
 
 class ConfigError(WordEqError):
@@ -246,20 +247,132 @@ class SideLanguage:
                 first = False
                 yield f'"{text}"' if machine else text or "ε"
 
+    def pieces(self, key: str, machine: bool) -> Iterator[str]:
+        yield "[" if machine else f"{key}: {{"
+        yield from self.chunks(machine)
+        yield "]" if machine else "}"
+
+
+@dataclass(frozen=True, slots=True)
+class SearchRows:
+    """search's pseudo_solutions, read from the certificate rows while the
+    report is written, once."""
+
+    rows: CertificateRows
+    order: tuple[str, ...]
+
+    def pieces(self, key: str, machine: bool) -> Iterator[str]:
+        """The JSON list, one str.join of 1 to SPELL_CHUNK rows a piece, the
+        pieces separated by ", " (machine); else the row count and the first
+        HUMAN_TABLE_ROWS rows, which are all the rows it keeps."""
+        if self.rows.pseudo_count:
+            raise RuntimeError("the rows of a search report are written once")
+        if not machine:
+            shown = [*itertools.islice(self.rows, HUMAN_TABLE_ROWS)]
+            count = len(shown) + sum(1 for _ in self.rows)
+            if not count:
+                yield f"{key}: {{}}"
+                return
+            yield f"{key}: ({count} entries)"
+            for psol, pr in shown:
+                yield f"\n  - assign={_human_scalar(_massign_class(psol.images, self.order))}, pseudo_rank={pr}"
+            if count > len(shown):
+                yield f"\n  ... and {count - len(shown)} more"
+            return
+        # each row as json.dumps writes it, each class's representative spelled and escaped once
+        names = [(x, json.dumps(x) + ": ") for x in self.order]
+        quoted: dict[Letters, str] = {}
+
+        def text(row: tuple[PseudoSolution, int]) -> str:
+            images, parts = row[0].images, []
+            for x, name in names:
+                rep = images[x].rep
+                q = quoted.get(rep.letters)
+                if q is None:
+                    q = quoted[rep.letters] = json.dumps(_mword(rep))
+                parts.append(name + q)
+            return f'{{"assign": {{{", ".join(parts)}}}, "pseudo_rank": {row[1]}}}'
+
+        texts = map(text, self.rows)
+        yield "["
+        for i, block in enumerate(iter(lambda: [*itertools.islice(texts, SPELL_CHUNK)], [])):
+            if i:
+                yield ", "
+            yield ", ".join(block)
+        yield "]"
+
+
+_SEARCH_TALLIES = (
+    "pseudo_count", "max_pseudo_rank", "pseudo_witness", "ordinary_count",
+    "max_ordinary_rank", "ordinary_witness", "descent_property", "descent_failures",
+)
+
+
+class SearchData(Mapping):
+    """search's report document: the head keys, the streamed pseudo_solutions,
+    then the certificate's tallies, read once the rows have ended. Reading a
+    tally before the rows are written drains them unwritten."""
+
+    def __init__(self, head: dict, rows: CertificateRows, order: tuple[str, ...]):
+        self._head = {**head, "pseudo_solutions": SearchRows(rows, order)}
+        self._rows, self._order = rows, order
+        self._tallies: Optional[dict] = None
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain(self._head, _SEARCH_TALLIES)
+
+    def __len__(self) -> int:
+        return len(self._head) + len(_SEARCH_TALLIES)
+
+    def __getitem__(self, key: str):
+        if key in self._head:
+            return self._head[key]
+        if key not in _SEARCH_TALLIES:
+            raise KeyError(key)
+        if self._tallies is None:
+            rows, order = self._rows, self._order
+            for _ in rows:  # the rows not written
+                pass
+            self._tallies = {
+                "pseudo_count": rows.pseudo_count,
+                "max_pseudo_rank": rows.max_pseudo_rank,
+                "pseudo_witness": (
+                    _massign_class(rows.pseudo_witness.images, order)
+                    if rows.pseudo_witness is not None
+                    else None
+                ),
+                "ordinary_count": rows.ordinary_count,
+                "max_ordinary_rank": rows.max_ordinary_rank,
+                "ordinary_witness": (
+                    {x: _mword(rows.ordinary_witness[x]) for x in order}
+                    if rows.ordinary_witness is not None
+                    else None
+                ),
+                "descent_property": "fail" if rows.descent_failures else "pass",
+                "descent_failures": list(rows.descent_failures),
+            }
+        return self._tallies[key]
+
 
 @dataclass
 class Report:
     """Command outcome: an ordered key/value document plus an exit code.
 
     data must stay deterministically ordered and JSON-serializable, except
-    that a top-level value may be a SideLanguage, which write() streams a
-    chunk at a time. The elapsed time is carried separately so that
-    emitted reports stay byte-identical across runs.
+    that a top-level value may be a SideLanguage or SearchRows, which
+    write() streams a piece at a time. outcome is the exit code, or, when
+    the code is known only once a streamed value has ended, a function
+    that reads it from data. The elapsed time is carried separately so
+    that emitted reports stay byte-identical across runs.
     """
 
-    data: dict
-    exit_code: int
+    data: Mapping
+    outcome: int | Callable[[], int]
     elapsed_ms: float = 0.0
+
+    @property
+    def exit_code(self) -> int:
+        return self.outcome() if callable(self.outcome) else self.outcome
 
     def machine_text(self) -> str:
         return "".join(self._pieces(machine=True))
@@ -279,12 +392,10 @@ class Report:
                 yield (", " if i else "{") + json.dumps(key) + ": "
             elif i:
                 yield "\n"
-            if not isinstance(value, SideLanguage):
+            if isinstance(value, (SideLanguage, SearchRows)):
+                yield from value.pieces(key, machine)
+            else:
                 yield json.dumps(value, ensure_ascii=True) if machine else self._human({key: value})
-                continue
-            yield "[" if machine else f"{key}: {{"
-            yield from value.chunks(machine)
-            yield "]" if machine else "}"
         if machine:
             yield "}"
 
@@ -303,16 +414,7 @@ class Report:
                     lines.append(f"{label}:")
                     lines.extend(self._human_lines(value, prefix + "  "))
             elif isinstance(value, list):
-                if value and all(isinstance(v, dict) for v in value):
-                    lines.append(f"{label}: ({len(value)} entries)")
-                    for i, row in enumerate(value):
-                        if i >= HUMAN_TABLE_ROWS:
-                            lines.append(f"  ... and {len(value) - HUMAN_TABLE_ROWS} more")
-                            break
-                        inner = ", ".join(f"{k}={_human_scalar(v)}" for k, v in row.items())
-                        lines.append(f"  - {inner}")
-                else:
-                    lines.append(f"{label}: {{{', '.join(_human_scalar(v) for v in value)}}}")
+                lines.append(f"{label}: {{{', '.join(_human_scalar(v) for v in value)}}}")
             else:
                 lines.append(f"{label}: {_human_scalar(value)}")
         return lines
@@ -385,7 +487,7 @@ def cmd_search(cfg: JobConfig) -> Report:
         "budget": cfg.budget,
     }
     try:
-        cert = bounded_rank_certificate(
+        rows = CertificateRows(
             e, cfg.alphabet, rel, cfg.max_len, budget=cfg.budget, limit=cfg.product_guard
         )
     except BudgetExceeded as exc:
@@ -396,34 +498,8 @@ def cmd_search(cfg: JobConfig) -> Report:
             "solutions_found_before_exhaustion": exc.emitted,
         }
         return Report(data, EXIT_BUDGET)
-
-    order = e.unknowns.symbols
-    rows = [
-        {"assign": _massign_class(psol.images, order), "pseudo_rank": pr}
-        for psol, pr in zip(cert.pseudo_solutions, cert.pseudo_ranks)
-    ]
-    data = {
-        **head,
-        "budget_exhausted": False,
-        "pseudo_solutions": rows,
-        "pseudo_count": cert.pseudo_count,
-        "max_pseudo_rank": cert.max_pseudo_rank,
-        "pseudo_witness": (
-            _massign_class(cert.pseudo_witness.images, order)
-            if cert.pseudo_witness is not None
-            else None
-        ),
-        "ordinary_count": cert.ordinary_count,
-        "max_ordinary_rank": cert.max_ordinary_rank,
-        "ordinary_witness": (
-            {x: _mword(cert.ordinary_witness[x]) for x in order}
-            if cert.ordinary_witness is not None
-            else None
-        ),
-        "descent_property": "pass" if cert.descent_ok else "fail",
-        "descent_failures": list(cert.descent_failures),
-    }
-    return Report(data, EXIT_PASS if cert.descent_ok else EXIT_FAIL)
+    data = SearchData({**head, "budget_exhausted": False}, rows, e.unknowns.symbols)
+    return Report(data, lambda: EXIT_PASS if data["descent_property"] == "pass" else EXIT_FAIL)
 
 
 def cmd_verify_rel(cfg: JobConfig) -> Report:

@@ -16,7 +16,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .anticongruence import Anticongruence, EqClass, Identity
 from .freeness import Basis, Letters, hull_letters, rank
@@ -25,6 +25,7 @@ from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     FiniteLanguage,
+    ProductLimitExceeded,
     Word,
     WordEqError,
     _guard_error,
@@ -395,6 +396,14 @@ def _class_symbols(classes: Sequence[EqClass]) -> list[str]:
 # The one hull cache: descents and certificate ranks repeat hulls within a run
 # and across runs in one process; hull_letters itself computes fresh.
 _cached_hull = functools.lru_cache(maxsize=1 << 14)(hull_letters)
+
+
+def _hull(rel: Anticongruence, words: set[Letters]) -> tuple[Letters, ...]:
+    """The cached hull of words, keyed by their sorted tuple: a frozenset of a
+    few words takes 216 bytes, the tuple about a third of that."""
+    return _cached_hull(rel, tuple(sorted(words)))
+
+
 # an identity's hull reads only letter tuples, so this one relation ranks the
 # class-index words of every descent, sharing their _cached_hull entries
 _CLASS_INDEX_IDENTITY = Identity(Alphabet(("[·]",)))
@@ -407,7 +416,7 @@ def _hull_basis(psol: PseudoSolution) -> tuple[Letters, ...]:
     for c in psol.images.values():
         members.update(rel.class_letters(c.rep.letters))
     members.discard(())
-    return _cached_hull(rel, frozenset(members))
+    return _hull(rel, members)
 
 
 def _descent(
@@ -421,13 +430,14 @@ def _descent(
     reps = class_reps(rel, basis)
     rep_index = {r: i for i, r in enumerate(reps)}
     class_index = {b: rep_index[rel.class_letters(b)[0]] for b in basis}
+    lengths = sorted({len(b) for b in basis})
     syms = e.unknowns.symbols
     images = {}
     for name in syms:
         if name not in psol.images:
             raise MissingImage(f"no image for unknown {name}")
         rep = psol.images[name].rep
-        factors = least_factorization(rep.letters, basis)
+        factors = least_factorization(rep.letters, class_index, lengths)
         if factors is None:
             words = Basis(tuple(Word(rel.alphabet, b) for b in basis))
             raise NotInMonoid(f"{rep} is not in the monoid of {words}")
@@ -436,7 +446,7 @@ def _descent(
     rhs = _join(images[syms[i]] for i in e.rhs.letters)
     if lhs != rhs:
         raise DescentFailed(f"descended morphism does not solve {e}")
-    r = len(_cached_hull(_CLASS_INDEX_IDENTITY, frozenset(w for w in images.values() if w)))
+    r = len(_hull(_CLASS_INDEX_IDENTITY, {w for w in images.values() if w}))
     if r != len(reps):
         raise DescentFailed(f"descended rank {r} differs from pseudo-rank {len(reps)}")
     return basis, reps, images
@@ -576,12 +586,39 @@ def enumerate_pseudo_solutions(
     representative is built.
     """
     _require_limit(limit)
+    walk = _walk(e, rel, max_len, budget, limit)
+    emitted = 0
+    for batch in walk.batches:
+        for _, found in batch:
+            emitted += 1
+            yield walk.solution(found)
+    if walk.trip is not None:
+        raise walk.trip
+    if walk.spent is not None:
+        raise walk.spent(emitted)
+
+
+class _Walk(NamedTuple):
+    """A pseudo walk whose stop is fixed before it walks: batches yields lists
+    of solutions, each a (number, indices into the representatives) pair,
+    in order, and solution builds a PseudoSolution from its indices. trip
+    is the guard error that ends the walk when the guard stops it first,
+    and spent(emitted) the BudgetExceeded that ends it when the budget does."""
+
+    batches: Iterator[list[tuple[int, tuple[int, ...]]]]
+    solution: Callable[[tuple[int, ...]], PseudoSolution]
+    trip: Optional[ProductLimitExceeded]
+    spent: Optional[Callable[[int], BudgetExceeded]]
+
+
+def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int], limit: int) -> _Walk:
+    """enumerate_pseudo_solutions's set-up and walk, for a limit of at least 1."""
     names = e.unknowns.symbols
     n = len(names)
     lhs, rhs = e.lhs.letters, e.rhs.letters
     words, members = _representatives(rel, max_len, budget)
-    if not words:
-        return  # max_len < 0: no representatives
+    if not words:  # max_len < 0: no representatives
+        return _Walk(iter(()), PseudoSolution, None, None)
     n_reps = len(words)
     sizes = [len(m) for m in members]
     spans: dict[int, list[int]] = {}  # length -> its representatives, in order
@@ -703,25 +740,27 @@ def enumerate_pseudo_solutions(
     first = min((found for vec, _ in vectors if guarded and (found := trip(vec))), default=None)
     stop = bound if first is None else min(first[0], bound)
     streams = [solutions([step(k, *cut) for k, cut in zip(vec, cuts)], stop) for vec, cuts in vectors]
-    emitted = 0
     # the first n - 1 indices and the last unknown's length fix the vector, so
     # the numbers of two batches never interleave and merging by the first suffices
-    for batch in heapq.merge(*streams, key=lambda batch: batch[0][0]):
-        for _, found in batch:
-            images = {}
-            for name, i in zip(names, found):
-                c = classes[i]
-                if c is None:
-                    c = classes[i] = EqClass(rel, Word(rel.alphabet, words[i]))
-                images[name] = c
-            emitted += 1
-            yield PseudoSolution(rel, images)
+    batches = heapq.merge(*streams, key=lambda batch: batch[0][0])
+
+    def solution(found: tuple[int, ...]) -> PseudoSolution:
+        images = {}
+        for name, i in zip(names, found):
+            c = classes[i]
+            if c is None:
+                c = classes[i] = EqClass(rel, Word(rel.alphabet, words[i]))
+            images[name] = c
+        return PseudoSolution(rel, images)
+
+    tripped = spent = None
     if stop < bound:
         t = first[1]
         side = lhs if math.prod(sizes[t[u]] for u in lhs) > limit else rhs
-        raise _guard_error([sizes[t[u]] for u in side], limit)
-    if bound < total:
-        raise BudgetExceeded(f"assignment budget {budget} exceeded", bound, emitted)
+        tripped = _guard_error([sizes[t[u]] for u in side], limit)
+    elif bound < total:
+        spent = functools.partial(BudgetExceeded, f"assignment budget {budget} exceeded", bound)
+    return _Walk(batches, solution, tripped, spent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -750,6 +789,98 @@ class RankCertificate:
         return not self.descent_failures
 
 
+_WALK_AHEAD = 256  # most solutions a certificate's walk finds before it descends them
+
+
+class CertificateRows:
+    """A bounded rank certificate's rows, (pseudo-solution, pseudo-rank) in
+    enumeration order, streamed once, with running tallies.
+
+    Ordinary solutions are enumerated under the identity relation on
+    sigma; pseudo-solutions under rel, by the same walk when rel is that
+    identity. The search decides how it ends before the first row: the
+    ordinary walk runs to completion first (unless the pseudo walk is
+    that walk), and the pseudo walk's stop is fixed before it walks, so
+    a guard trip raises ProductLimitExceeded at once and a spent budget
+    walks only to count what it would emit, then raises BudgetExceeded.
+    Every row has sides within limit that share a word, so it descends
+    without that check or result objects (_descent), and a failure is
+    recorded with the pseudo-rank read off the hull. The maxima are lower
+    bounds of the true ranks; the witnesses are the first solutions
+    attaining them in enumeration order. The tallies are final once the
+    rows have ended. A limit below 1 raises ValueError.
+    """
+
+    __slots__ = (
+        "ordinary_count", "max_ordinary_rank", "ordinary_witness", "pseudo_count",
+        "max_pseudo_rank", "pseudo_witness", "descent_failures", "_rows",
+    )
+
+    def __init__(
+        self,
+        e: Equation,
+        sigma: Alphabet,
+        rel: Anticongruence,
+        max_len: int,
+        budget: Optional[int] = None,
+        limit: int = DEFAULT_PRODUCT_LIMIT,
+    ):
+        _require_limit(limit)
+        self.ordinary_count = self.max_ordinary_rank = 0
+        self.ordinary_witness: Optional[Solution] = None
+        self.pseudo_count = self.max_pseudo_rank = 0
+        self.pseudo_witness: Optional[PseudoSolution] = None
+        self.descent_failures: list[str] = []
+        identity = Identity(sigma)
+        # under the identity on sigma the pseudo phase would repeat the ordinary walk
+        reuse = rel == identity
+        if not reuse:
+            for psol in enumerate_pseudo_solutions(e, identity, max_len, budget=budget, limit=limit):
+                # solution_rank of the representatives, on their letter tuples
+                reps = {c.rep.letters for c in psol.images.values() if c.rep}
+                self._ordinary(psol, len(_hull(identity, reps)))
+        walk = _walk(e, rel, max_len, budget, limit)
+        if walk.trip is not None:
+            raise walk.trip
+        if walk.spent is not None:
+            raise walk.spent(sum(map(len, walk.batches)))
+        self._rows = self._stream(e, rel, walk, reuse)
+
+    def __iter__(self) -> Iterator[tuple[PseudoSolution, int]]:
+        return self._rows
+
+    def _ordinary(self, psol: PseudoSolution, r: int) -> None:
+        self.ordinary_count += 1
+        if self.ordinary_witness is None or r > self.max_ordinary_rank:
+            self.max_ordinary_rank = r
+            self.ordinary_witness = Solution({x: c.rep for x, c in psol.images.items()})
+
+    def _stream(
+        self, e: Equation, rel: Anticongruence, walk: _Walk, reuse: bool
+    ) -> Iterator[tuple[PseudoSolution, int]]:
+        # the walk runs ahead by up to _WALK_AHEAD solutions, which are then
+        # descended in turn: a walk step between every two descents is slower
+        found = (t for batch in walk.batches for _, t in batch)
+        for ahead in iter(lambda: [*itertools.islice(found, _WALK_AHEAD)], []):
+            for t in ahead:
+                psol = walk.solution(t)
+                try:
+                    # _descent raises DescentFailed when the two ranks differ
+                    pr = len(_descent(e, psol)[1])
+                except WordEqError as exc:
+                    self.descent_failures.append(f"{psol!r}: {exc}")
+                    pr = len(class_reps(rel, _hull_basis(psol)))
+                if reuse:
+                    # under the identity each class is its representative, so
+                    # the pseudo-rank is the rank of the representatives
+                    self._ordinary(psol, pr)
+                self.pseudo_count += 1
+                if self.pseudo_witness is None or pr > self.max_pseudo_rank:
+                    self.max_pseudo_rank = pr
+                    self.pseudo_witness = psol
+                yield psol, pr
+
+
 def bounded_rank_certificate(
     e: Equation,
     sigma: Alphabet,
@@ -758,72 +889,25 @@ def bounded_rank_certificate(
     budget: Optional[int] = None,
     limit: int = DEFAULT_PRODUCT_LIMIT,
 ) -> RankCertificate:
-    """Exhaustive bounded search for ordinary and pseudo rank lower bounds.
-
-    Ordinary solutions are enumerated under the identity relation on
-    sigma; pseudo-solutions under rel, by the same walk when rel is that
-    identity. Every pseudo-solution found has sides within limit that share
-    a word, so it descends without that check or result objects (_descent),
-    and a failure is recorded with the pseudo-rank read off the hull. The
-    maxima are lower bounds of the true ranks; the witnesses are the first
-    solutions attaining them in enumeration order. A limit below 1 raises
-    ValueError.
-    """
-    _require_limit(limit)
-    identity = Identity(sigma)
-    # under the identity on sigma the pseudo phase would repeat the ordinary walk
-    reuse = rel == identity
-    ordinary = enumerate_pseudo_solutions(
-        e, rel if reuse else identity, max_len, budget=budget, limit=limit
-    )
-    if reuse:
-        ordinary = list(ordinary)
-    ordinary_count = 0
-    max_ordinary = -1
-    ordinary_witness: Optional[Solution] = None
-    for psol in ordinary:
-        ordinary_count += 1
-        # solution_rank of the representatives, on their letter tuples
-        reps = frozenset(c.rep.letters for c in psol.images.values() if c.rep)
-        r = len(_cached_hull(identity, reps))
-        if r > max_ordinary:
-            max_ordinary = r
-            ordinary_witness = Solution({x: c.rep for x, c in psol.images.items()})
-
-    pseudo_count = 0
-    max_pseudo = -1
-    pseudo_witness: Optional[PseudoSolution] = None
+    """Exhaustive bounded search for ordinary and pseudo rank lower bounds:
+    the rows of CertificateRows and its final tallies."""
+    rows = CertificateRows(e, sigma, rel, max_len, budget=budget, limit=limit)
     solutions: list[PseudoSolution] = []
     ranks: list[int] = []
-    failures: list[str] = []
-    pseudo = (
-        ordinary if reuse else enumerate_pseudo_solutions(e, rel, max_len, budget=budget, limit=limit)
-    )
-    for psol in pseudo:
-        pseudo_count += 1
+    for psol, pr in rows:
         solutions.append(psol)
-        try:
-            # _descent raises DescentFailed when the two ranks differ
-            pr = len(_descent(e, psol)[1])
-        except WordEqError as exc:
-            failures.append(f"{psol!r}: {exc}")
-            pr = len(class_reps(rel, _hull_basis(psol)))
         ranks.append(pr)
-        if pr > max_pseudo:
-            max_pseudo = pr
-            pseudo_witness = psol
-
     return RankCertificate(
         max_len=max_len,
-        ordinary_count=ordinary_count,
-        max_ordinary_rank=max(max_ordinary, 0),
-        ordinary_witness=ordinary_witness,
-        pseudo_count=pseudo_count,
-        max_pseudo_rank=max(max_pseudo, 0),
-        pseudo_witness=pseudo_witness,
+        ordinary_count=rows.ordinary_count,
+        max_ordinary_rank=rows.max_ordinary_rank,
+        ordinary_witness=rows.ordinary_witness,
+        pseudo_count=rows.pseudo_count,
+        max_pseudo_rank=rows.max_pseudo_rank,
+        pseudo_witness=rows.pseudo_witness,
         pseudo_solutions=tuple(solutions),
         pseudo_ranks=tuple(ranks),
-        descent_failures=tuple(failures),
+        descent_failures=tuple(rows.descent_failures),
     )
 
 

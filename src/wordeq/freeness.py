@@ -13,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .anticongruence import Anticongruence, Identity
 from .words import (
@@ -146,17 +146,21 @@ def minimal_generators(words: Iterable[Word]) -> frozenset[Word]:
 def _minimal_letters(pool: set[Letters]) -> list[Letters]:
     """Sorted members of pool that are not products of other members: one pass in length
     order, testing w against the kept members shorter than w, which generate the rest."""
-    kept: list[Letters] = []
-    shorter = 0  # kept is in length order; kept[:shorter] are shorter than w
+    shorter: set[Letters] = set()  # the kept members shorter than w
+    lengths: list[int] = []  # their lengths, ascending
+    same: list[Letters] = []  # the kept members as long as w
     for w in sorted(pool, key=len):
-        if kept and len(kept[-1]) < len(w):
-            shorter = len(kept)
-        if not shorter or not reachable_suffixes(w, kept[:shorter])[0]:
-            kept.append(w)
-    return sorted(kept)
+        if same and len(same[0]) < len(w):
+            shorter.update(same)
+            lengths.append(len(same[0]))
+            same = []
+        if not shorter or not reachable_suffixes(w, shorter, lengths)[0]:
+            same.append(w)
+    shorter.update(same)
+    return sorted(shorter)
 
 
-def hull_letters(rel: Anticongruence, words: frozenset[Letters]) -> tuple[Letters, ...]:
+def hull_letters(rel: Anticongruence, words: Collection[Letters]) -> tuple[Letters, ...]:
     """Sorted basis of the smallest free monoid containing words with a basis closed
     under rel's classes (under Identity, the free hull).
 

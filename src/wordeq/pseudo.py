@@ -138,7 +138,7 @@ def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
     """
     if not w.letters:
         return ClassWord(())
-    basis = sorted({b.letters for b in pfb.basis_words})
+    basis = {b.letters for b in pfb.basis_words}
     if () in basis:
         raise ValueError("empty word not allowed in a factorization basis")
     factors = least_factorization(w.letters, basis)

@@ -9,7 +9,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_PRODUCT_LIMIT = 1_000_000
 
@@ -279,39 +279,55 @@ def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any] = _joi
     return (p + t for p in prefixes for t in tail)
 
 
-def reachable_suffixes(target: tuple[int, ...], basis: Sequence[tuple[int, ...]]) -> list[bool]:
-    """reach[i] tells whether target[i:] is a product of basis words (nonempty tuples)."""
+def reachable_suffixes(
+    target: tuple[int, ...], basis: Collection[tuple[int, ...]], lengths: Optional[Sequence[int]] = None
+) -> list[bool]:
+    """reach[i] tells whether target[i:] is a product of basis words (nonempty
+    tuples). The slices of target of each basis length are looked up in
+    basis, a set or a dict keyed by the words or else made a set; lengths,
+    if given, are those lengths in ascending order."""
+    words = basis if isinstance(basis, (set, frozenset, dict)) else set(basis)
+    if lengths is None:
+        lengths = sorted({len(b) for b in words})
     n = len(target)
     reach = [False] * n + [True]
     for i in range(n - 1, -1, -1):
-        for b in basis:
-            j = i + len(b)
-            if j <= n and reach[j] and target[i:j] == b:
+        for k in lengths:
+            j = i + k
+            if j > n:
+                break
+            if reach[j] and target[i:j] in words:
                 reach[i] = True
                 break
     return reach
 
 
 def least_factorization(
-    target: tuple[int, ...], basis: Sequence[tuple[int, ...]]
+    target: tuple[int, ...], basis: Collection[tuple[int, ...]], lengths: Optional[Sequence[int]] = None
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """The factorization of target that comes first by factor index into the
-    sorted basis (nonempty tuples), or None outside the monoid.
+    sorted basis (nonempty tuples), or None outside the monoid; basis and
+    lengths as for reachable_suffixes.
 
-    Only reachable positions are entered, so the walk never backtracks; over
-    a code it finds the only factorization.
+    The factors that match at one position are prefixes of one another, so
+    the least by index is the shortest whose end reaches the end of target.
+    Only reachable positions are entered, so the walk never backtracks;
+    over a code it finds the only factorization.
     """
-    reach = reachable_suffixes(target, basis)
+    words = basis if isinstance(basis, (set, frozenset, dict)) else set(basis)
+    if lengths is None:
+        lengths = sorted({len(b) for b in words})
+    reach = reachable_suffixes(target, words, lengths)
     if not reach[0]:
         return None
     n, pos, out = len(target), 0, []
     while pos < n:
-        for b in basis:
-            j = pos + len(b)
-            if j <= n and reach[j] and target[pos:j] == b:
-                out.append(b)
-                pos = j
+        for k in lengths:  # one matches before pos + k passes n, as pos is reachable
+            j = pos + k
+            if reach[j] and target[pos:j] in words:
                 break
+        out.append(target[pos:j])
+        pos = j
     return tuple(out)
 
 
@@ -354,7 +370,7 @@ def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
 
 def is_in_monoid(w: Word, basis: Iterable[Word]) -> bool:
     """Membership of w in the monoid generated by basis (reachability check)."""
-    return reachable_suffixes(w.letters, [b.letters for b in basis if b.letters])[0]
+    return reachable_suffixes(w.letters, {b.letters for b in basis if b.letters})[0]
 
 
 def letters_over(

@@ -11,7 +11,8 @@ brute_verify_axioms for the one-pass axiom check. brute_product_letters
 and brute_side_letters are the former set products, so the side-language
 checks share no code with the sorted list products they check.
 brute_check_report renders a check report whole, the way the CLI did
-before it streamed side languages.
+before it streamed side languages, and brute_search_report a search
+report, the way it did before it streamed certificate rows.
 PairTable is a test double for relations that are not anticongruences.
 """
 from __future__ import annotations
@@ -48,7 +49,7 @@ from wordeq import (
     pseudo_free_hull,
     solution_rank,
 )
-from wordeq.cli import parse_config
+from wordeq.cli import HUMAN_TABLE_ROWS, JobConfig, parse_config
 from wordeq.equations import _class_symbols
 
 
@@ -375,14 +376,15 @@ def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
 
 
-def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT) -> RankCertificate:
+def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT, budget=None) -> RankCertificate:
     """The library's former bounded_rank_certificate over brute_pseudo_solutions,
     ranking each ordinary solution with solution_rank and descending each
-    pseudo-solution with brute_descend."""
+    pseudo-solution with brute_descend. A spent budget or a guard trip
+    raises after the phase it ends, ordinary first, as brute_pseudo_solutions does."""
     ordinary_count = 0
     max_ordinary = -1
     ordinary_witness: Optional[Solution] = None
-    for psol in brute_pseudo_solutions(e, Identity(sigma), max_len, limit=limit):
+    for psol in brute_pseudo_solutions(e, Identity(sigma), max_len, budget=budget, limit=limit):
         sol = Solution({x: c.rep for x, c in psol.images.items()})
         ordinary_count += 1
         r = solution_rank(sol)
@@ -393,7 +395,7 @@ def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT) -> Ra
     max_pseudo = -1
     pseudo_witness = None
     solutions, ranks, failures = [], [], []
-    for psol in brute_pseudo_solutions(e, rel, max_len, limit=limit):
+    for psol in brute_pseudo_solutions(e, rel, max_len, budget=budget, limit=limit):
         solutions.append(psol)
         try:
             pr = brute_descend(e, psol, limit=limit).pseudo_rank()
@@ -458,3 +460,74 @@ def brute_check_report(path: str, machine: bool) -> tuple[int, str]:
             lines.append(f"{key}: {value}")
         text = "\n".join(lines)
     return (0 if verdict.valid else 1), text + "\n"
+
+
+def brute_search_report(cfg: JobConfig, machine: bool) -> tuple[int, str, Optional[str]]:
+    """The exit code, stdout and stderr message of `wordeq search` on cfg,
+    built whole: brute_certificate first (a spent budget makes the budget
+    report, a guard trip exit 3 with its message and no report), then
+    every row, then one json.dumps (machine) or the human layout, which
+    lists the row count and the first HUMAN_TABLE_ROWS rows. The message
+    is None for a report, whose stderr holds only its timing."""
+    rel = cfg.rel if cfg.rel is not None else Identity(cfg.alphabet)
+    e = cfg.equation
+    spell = rel.alphabet.spell
+    order = e.unknowns.symbols
+    data = {
+        "command": "search",
+        "alphabet": list(cfg.alphabet.symbols),
+        "relation": cfg.rel_text,
+        "equation": cfg.equation_text,
+        "max_len": cfg.max_len,
+        "budget": cfg.budget,
+    }
+    try:
+        cert = brute_certificate(e, cfg.alphabet, rel, cfg.max_len, cfg.product_guard, cfg.budget)
+    except BudgetExceeded as exc:
+        data.update(budget_exhausted=True, assignments_examined=exc.examined,
+                    solutions_found_before_exhaustion=exc.emitted)
+        code = 3
+    except ProductLimitExceeded as exc:
+        return 3, "", f"budget exhausted: {exc}\n"
+    else:
+        def assign(images) -> dict:
+            return {x: spell(images[x].letters if isinstance(images[x], Word) else images[x].rep.letters)
+                    for x in order}
+
+        data.update(
+            budget_exhausted=False,
+            pseudo_solutions=[{"assign": assign(p.images), "pseudo_rank": r}
+                              for p, r in zip(cert.pseudo_solutions, cert.pseudo_ranks)],
+            pseudo_count=cert.pseudo_count,
+            max_pseudo_rank=cert.max_pseudo_rank,
+            pseudo_witness=None if cert.pseudo_witness is None else assign(cert.pseudo_witness.images),
+            ordinary_count=cert.ordinary_count,
+            max_ordinary_rank=cert.max_ordinary_rank,
+            ordinary_witness=None if cert.ordinary_witness is None else assign(cert.ordinary_witness.images),
+            descent_property="fail" if cert.descent_failures else "pass",
+            descent_failures=list(cert.descent_failures),
+        )
+        code = 1 if cert.descent_failures else 0
+    if machine:
+        return code, json.dumps(data, ensure_ascii=True) + "\n", None
+
+    def scalar(v) -> str:
+        if isinstance(v, dict):
+            return "{" + ", ".join(f"{k}={scalar(x)}" for k, x in v.items()) + "}"
+        if isinstance(v, list):
+            return "{" + ", ".join(map(scalar, v)) + "}"
+        return "ε" if v == "" else "-" if v is None else str(v)
+
+    lines = []
+    for key, value in data.items():
+        if key == "pseudo_solutions" and value:
+            lines.append(f"{key}: ({len(value)} entries)")
+            for row in value[:HUMAN_TABLE_ROWS]:
+                lines.append(f"  - assign={scalar(row['assign'])}, pseudo_rank={row['pseudo_rank']}")
+            if len(value) > HUMAN_TABLE_ROWS:
+                lines.append(f"  ... and {len(value) - HUMAN_TABLE_ROWS} more")
+        elif isinstance(value, dict):
+            lines.append(f"{key}: " + ", ".join(f"{x}={scalar(w)}" for x, w in value.items()))
+        else:
+            lines.append(f"{key}: {scalar(value)}")
+    return code, "\n".join(lines) + "\n", None
