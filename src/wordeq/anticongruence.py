@@ -306,12 +306,10 @@ class AxiomViolation:
         return f"{self.kind} fails at ({self.u}, {self.v})"
 
 
-def verify_axioms(
-    rel: Anticongruence,
-    max_len: int,
-    word_guard: int = DEFAULT_WORD_GUARD,
-) -> Optional[AxiomViolation]:
-    """Exhaustively check the anticongruence axioms on words up to max_len.
+def verify_axioms(rel: Anticongruence, max_len: int) -> Optional[AxiomViolation]:
+    """Exhaustively check the anticongruence axioms on words up to max_len,
+    reading each word's class once; EnumerationGuardExceeded when those
+    words are more than DEFAULT_WORD_GUARD.
 
     Scans strata in increasing length with lexicographic tie order, so the
     returned first violation is deterministic. None means every check
@@ -324,25 +322,20 @@ def verify_axioms(
     # add the strata up one at a time and stop once past the guard: the
     # full count can be too large to compute or to print
     totals = itertools.accumulate(k**n for n in range(max_len + 1))
-    if any(total > word_guard for total in totals):
+    if any(total > DEFAULT_WORD_GUARD for total in totals):
         raise EnumerationGuardExceeded(
-            f"words up to length {max_len} exceed the guard of {word_guard}"
+            f"words up to length {max_len} exceed the guard of {DEFAULT_WORD_GUARD}"
         )
 
     support = [u for n in range(max_len + 1) for u in itertools.product(range(k), repeat=n)]
     word = functools.partial(Word, alphabet)
-    if isinstance(rel, Anticongruence):
-        # equiv(u, v) is v in class_letters(u), so one class read per word
-        # finds every related word; members outside the support are dropped
-        rank = {u: i for i, u in enumerate(support)}
-        related = {
-            u: [support[i] for i in sorted({rank[v] for v in rel.class_letters(u) if v in rank})]
-            for u in support
-        }
-    else:
-        # an object with nothing but equiv is asked once per ordered pair
-        words = [word(u) for u in support]
-        related = {u.letters: [v.letters for v in words if rel.equiv(u, v)] for u in words}
+    # equiv(u, v) is v in class_letters(u), so one class read per word finds
+    # every related word; members outside the support are dropped
+    rank = {u: i for i, u in enumerate(support)}
+    related = {
+        u: [support[i] for i in sorted({rank[v] for v in rel.class_letters(u) if v in rank})]
+        for u in support
+    }
 
     for u, vs in related.items():
         for v in vs:

@@ -487,9 +487,7 @@ def cmd_search(cfg: JobConfig) -> Report:
         "budget": cfg.budget,
     }
     try:
-        rows = CertificateRows(
-            e, cfg.alphabet, rel, cfg.max_len, budget=cfg.budget, limit=cfg.product_guard
-        )
+        rows = CertificateRows(e, rel, cfg.max_len, budget=cfg.budget, limit=cfg.product_guard)
     except BudgetExceeded as exc:
         data = {
             **head,

@@ -32,6 +32,7 @@ from .words import (
     _join,
     _side_words,
     least_factorization,
+    letters_over,
 )
 
 
@@ -189,7 +190,9 @@ class PseudoSolution:
 
 
 def check_solution(e: Equation, phi: Solution) -> bool:
-    """Whether substituting the images makes the two sides the same word."""
+    """Whether substituting the images makes the two sides the same word;
+    images over two alphabets raise AlphabetMismatch, as solution_rank does."""
+    letters_over(phi.images.values())
     for name in e.unknowns.symbols:
         if name not in phi.images:
             raise MissingImage(f"no image for unknown {name}")
@@ -312,55 +315,6 @@ def check_pseudo_solution(
     rhs = _side_classes(e.rhs, e.unknowns, psol, limit)
     common = _least_common(lhs, rhs)
     return PseudoVerdict(None if common is None else Word(rel.alphabet, common), rel.alphabet, lhs, rhs)
-
-
-def align_equivalent_sides(
-    e: Equation, rel: Anticongruence, side_words: Sequence[Word]
-) -> tuple[Word, ...]:
-    """Re-cut equivalent sides into exactly equal ones.
-
-    Takes one word per occurrence (left side first), requires same-unknown
-    occurrences to be equivalent and the two concatenated sides to be
-    equivalent, and returns the per-occurrence words with the right side
-    re-cut from the left side's concatenation at the original lengths.
-    """
-    lhs_names, rhs_names = e.occurrence_names()
-    n_l, n_r = len(lhs_names), len(rhs_names)
-    if len(side_words) != n_l + n_r:
-        raise ValueError(f"expected {n_l + n_r} occurrence words, got {len(side_words)}")
-    if not side_words:
-        return ()
-    alphabet = side_words[0].alphabet
-    all_names = lhs_names + rhs_names
-    same_unknown_pairs = [
-        (i, j)
-        for i in range(len(all_names))
-        for j in range(i + 1, len(all_names))
-        if all_names[i] == all_names[j]
-    ]
-    for i, j in same_unknown_pairs:
-        if not rel.equiv(side_words[i], side_words[j]):
-            raise ValueError(
-                f"occurrences {i} and {j} of {all_names[i]} carry non-equivalent words"
-            )
-    left = Word(alphabet, _join(w.letters for w in side_words[:n_l]))
-    right = Word(alphabet, _join(w.letters for w in side_words[n_l:]))
-    if len(left) != len(right) or not rel.equiv(left, right):
-        raise ValueError("concatenated sides are not equivalent")
-
-    out = list(side_words[:n_l])
-    pos = 0
-    for w in side_words[n_l:]:
-        out.append(left[pos : pos + len(w)])
-        pos += len(w)
-
-    for i, j in same_unknown_pairs:
-        if not rel.equiv(out[i], out[j]):
-            raise WordEqError(
-                "re-cut broke a same-unknown equivalence; "
-                "the relation does not satisfy the cutting condition"
-            )
-    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -797,10 +751,10 @@ class CertificateRows:
     enumeration order, streamed once, with running tallies.
 
     Ordinary solutions are enumerated under the identity relation on
-    sigma; pseudo-solutions under rel, by the same walk when rel is that
-    identity. The search decides how it ends before the first row: the
-    ordinary walk runs to completion first (unless the pseudo walk is
-    that walk), and the pseudo walk's stop is fixed before it walks, so
+    rel's alphabet; pseudo-solutions under rel, by the same walk when rel
+    is that identity. The search decides how it ends before the first
+    row: the ordinary walk runs to completion first (unless the pseudo
+    walk is that walk), and the pseudo walk's stop is fixed before it walks, so
     a guard trip raises ProductLimitExceeded at once and a spent budget
     walks only to count what it would emit, then raises BudgetExceeded.
     Every row has sides within limit that share a word, so it descends
@@ -819,7 +773,6 @@ class CertificateRows:
     def __init__(
         self,
         e: Equation,
-        sigma: Alphabet,
         rel: Anticongruence,
         max_len: int,
         budget: Optional[int] = None,
@@ -831,8 +784,8 @@ class CertificateRows:
         self.pseudo_count = self.max_pseudo_rank = 0
         self.pseudo_witness: Optional[PseudoSolution] = None
         self.descent_failures: list[str] = []
-        identity = Identity(sigma)
-        # under the identity on sigma the pseudo phase would repeat the ordinary walk
+        identity = Identity(rel.alphabet)
+        # under the identity the pseudo phase would repeat the ordinary walk
         reuse = rel == identity
         if not reuse:
             for psol in enumerate_pseudo_solutions(e, identity, max_len, budget=budget, limit=limit):
@@ -883,7 +836,6 @@ class CertificateRows:
 
 def bounded_rank_certificate(
     e: Equation,
-    sigma: Alphabet,
     rel: Anticongruence,
     max_len: int,
     budget: Optional[int] = None,
@@ -891,7 +843,7 @@ def bounded_rank_certificate(
 ) -> RankCertificate:
     """Exhaustive bounded search for ordinary and pseudo rank lower bounds:
     the rows of CertificateRows and its final tallies."""
-    rows = CertificateRows(e, sigma, rel, max_len, budget=budget, limit=limit)
+    rows = CertificateRows(e, rel, max_len, budget=budget, limit=limit)
     solutions: list[PseudoSolution] = []
     ranks: list[int] = []
     for psol, pr in rows:
@@ -910,36 +862,3 @@ def bounded_rank_certificate(
         descent_failures=tuple(rows.descent_failures),
     )
 
-
-def elementary_transform(
-    e: Equation, shorter: str, longer: str, rename: bool = False
-) -> Equation:
-    """One step of length-guess rewriting.
-
-    With rename=False the longer unknown is replaced by shorter·longer
-    throughout and the now-common leading shorter is cancelled from both
-    sides. With rename=True the longer unknown is simply renamed to the
-    shorter one, covering the equal-length guess.
-    """
-    if shorter == longer:
-        raise ValueError("shorter and longer must be distinct unknowns")
-    s_idx = e.unknowns.index(shorter)
-    l_idx = e.unknowns.index(longer)
-    if not e.lhs.letters or not e.rhs.letters:
-        raise ValueError("both sides must be non-empty")
-    heads = {e.lhs.letters[0], e.rhs.letters[0]}
-    if heads != {s_idx, l_idx}:
-        raise ValueError(f"sides must start with {shorter} and {longer} in some order, got {e}")
-
-    sub = {l_idx: (s_idx,) if rename else (s_idx, l_idx)}
-
-    def rewrite(side: Word) -> tuple[int, ...]:
-        return _join(sub.get(i, (i,)) for i in side.letters)
-
-    new_lhs = rewrite(e.lhs)
-    new_rhs = rewrite(e.rhs)
-    if not rename:
-        assert new_lhs[0] == s_idx and new_rhs[0] == s_idx
-        new_lhs = new_lhs[1:]
-        new_rhs = new_rhs[1:]
-    return Equation(e.unknowns, Word(e.unknowns, new_lhs), Word(e.unknowns, new_rhs))

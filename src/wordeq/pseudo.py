@@ -59,7 +59,8 @@ class ClassWord:
         return "(" + ", ".join(str(c) for c in self.classes) + ")" if self.classes else "()"
 
     def language(self, limit: int = DEFAULT_PRODUCT_LIMIT) -> FiniteLanguage:
-        """The set product c1 ⊙ c2 ⊙ ... ⊙ cm of the classes, guarded as words.product is."""
+        """The set product c1 ⊙ c2 ⊙ ... ⊙ cm of the classes, after checking
+        that it has at most limit words."""
         if not self.classes:
             raise ValueError("empty class word has no alphabet to build {ε} over")
         members = [c.language().letters for c in self.classes]
@@ -93,24 +94,6 @@ class PseudoFreeBasis:
 
     def pseudo_rank(self) -> int:
         return len(self.classes)
-
-    def class_of_basis_word(self, b: Word) -> EqClass:
-        c = EqClass.of(self.rel, b)
-        if c not in self.classes:
-            raise ValueError(f"{b} is not a basis word")
-        return c
-
-
-def class_closure(rel: Anticongruence, words: Iterable[Word]) -> frozenset[Word]:
-    """The input together with every class member of each input word.
-
-    One pass reaches the fixpoint: members of a class all have the same
-    class.
-    """
-    out: set[Word] = set()
-    for w in words:
-        out.update(Word(w.alphabet, ls) for ls in rel.class_letters(w.letters))
-    return frozenset(out)
 
 
 def pseudo_free_hull(rel: Anticongruence, words: Iterable[Word]) -> PseudoFreeBasis:
@@ -152,24 +135,6 @@ def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
         r = rel.class_letters(b)[0]  # a hand-built basis may lack its class
         out.append(by_rep[r] if r in by_rep else EqClass(rel, Word(rel.alphabet, r)))
     return ClassWord(tuple(out))
-
-
-def factorization_is_morphism(pfb: PseudoFreeBasis, u: Word, v: Word) -> bool:
-    """Whether the class factorization of u·v is the two factorizations joined."""
-    return class_factorization(pfb, u + v) == class_factorization(pfb, u) + class_factorization(pfb, v)
-
-
-def class_factor_stability(pfb: PseudoFreeBasis, w: Word) -> bool:
-    """Whether the whole class of w sits inside the product of w's class sequence."""
-    cw = class_factorization(pfb, w)
-    if not cw.classes:
-        return True
-    lang = cw.language()
-    for ls in pfb.rel.class_letters(w.letters):
-        other = Word(w.alphabet, ls)
-        if other not in lang or class_factorization(pfb, other) != cw:
-            return False
-    return True
 
 
 def pseudo_rank(rel: Anticongruence, words: Iterable[Word]) -> int:

@@ -84,9 +84,6 @@ class Alphabet:
         """The symbols of letters as str(Word) writes them; "" for the empty word."""
         return self.sep.join(map(self.symbols.__getitem__, letters))
 
-    def epsilon(self) -> Word:
-        return Word(self, ())
-
     def words_of_length(self, n: int) -> Iterator[Word]:
         """All words of length n in lexicographic order."""
         for letters in itertools.product(range(len(self.symbols)), repeat=n):
@@ -123,7 +120,8 @@ class Word:
         return Word(self.alphabet, (self.letters[item],))
 
     def __add__(self, other: Word) -> Word:
-        return concat(self, other)
+        _require_same_alphabet(self, other)
+        return Word(self.alphabet, self.letters + other.letters)
 
     def __lt__(self, other: Word) -> bool:
         _require_same_alphabet(self, other)
@@ -149,19 +147,6 @@ class Word:
 def _require_same_alphabet(u: Word | FiniteLanguage, v: Word | FiniteLanguage) -> None:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatch(f"mixed alphabets: {u.alphabet.symbols} vs {v.alphabet.symbols}")
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Concatenation u·v."""
-    _require_same_alphabet(u, v)
-    return Word(u.alphabet, u.letters + v.letters)
-
-
-def split(w: Word, i: int) -> tuple[Word, Word]:
-    """Cut w into (prefix of length i, remaining suffix)."""
-    if not 0 <= i <= len(w):
-        raise ValueError(f"cut position {i} out of range for word of length {len(w)}")
-    return Word(w.alphabet, w.letters[:i]), Word(w.alphabet, w.letters[i:])
 
 
 @dataclass(frozen=True)
@@ -214,20 +199,9 @@ class FiniteLanguage:
         return "{" + ", ".join(self.alphabet.spell(ls) or "ε" for ls in self.letters) + "}"
 
 
-def product(
-    k: FiniteLanguage, l: FiniteLanguage, limit: int = DEFAULT_PRODUCT_LIMIT
-) -> FiniteLanguage:
-    """Elementwise concatenation {u·v | u in K, v in L}, canonicalized, after
-    checking len(K)*len(L) <= limit."""
-    _require_same_alphabet(k, l)
-    if len(k) * len(l) > limit:
-        raise ProductLimitExceeded(f"product of {len(k)} x {len(l)} words exceeds limit {limit}")
-    # operands of mixed lengths can give one word twice, as a·ab = aa·b
-    return FiniteLanguage.of_letters(k.alphabet, {u + v for u in k.letters for v in l.letters})
-
-
 def _guard_error(sizes: list[int], limit: int) -> ProductLimitExceeded:
-    """The error product raises on the first step of a side product over limit."""
+    """The error of a side product over limit, at its first step over limit:
+    the words of the classes so far times the next class's size."""
     acc = 1
     for s in sizes:
         if acc * s > limit:
@@ -329,43 +303,6 @@ def least_factorization(
         out.append(target[pos:j])
         pos = j
     return tuple(out)
-
-
-def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
-    """All ways to write w as a product of basis words.
-
-    Results are ordered lexicographically by the index sequence of factors
-    into the sorted basis. Empty list means w is outside the generated
-    monoid; factorizing ε yields the single empty sequence.
-    """
-    bs = sorted({b.letters for b in basis})
-    if () in bs:
-        raise ValueError("empty word not allowed in a factorization basis")
-    target = w.letters
-    n = len(target)
-    reach = reachable_suffixes(target, bs)
-    # depth first on an explicit stack, the sorted basis in order at each
-    # position; only reachable positions are entered, so every branch ends
-    # in a result
-    out: list[tuple[Word, ...]] = [()] if n == 0 else []
-    factors: list[Word] = []  # the factors of target[:pos]
-    pos = 0
-    untried = [iter(bs)] if reach[0] else []  # untried[i]: basis words not yet tried as factor i
-    while untried:
-        for b in untried[-1]:
-            j = pos + len(b)
-            if j <= n and reach[j] and target[pos:j] == b:
-                factors.append(Word(w.alphabet, b))
-                pos = j
-                if pos == n:
-                    out.append(tuple(factors))
-                untried.append(iter(bs))
-                break
-        else:  # factor i is spent: back to factor i - 1
-            untried.pop()
-            if factors:
-                pos -= len(factors.pop())
-    return out
 
 
 def is_in_monoid(w: Word, basis: Iterable[Word]) -> bool:

@@ -14,13 +14,20 @@ brute_check_report renders a check report whole, the way the CLI did
 before it streamed side languages, and brute_search_report a search
 report, the way it did before it streamed certificate rows.
 PairTable is a test double for relations that are not anticongruences.
+
+Former library functions that only tests called are kept here unchanged:
+factorizations (every factorization, the reference for
+least_factorization and brute_class_factorization), product (the
+pairwise set product), class_closure, the lemma checks
+factorization_is_morphism and class_factor_stability, and
+align_equivalent_sides (side re-cutting for equivalent sides).
 """
 from __future__ import annotations
 
 import itertools
 import json
 import operator
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from wordeq import (
     DEFAULT_PRODUCT_LIMIT,
@@ -32,12 +39,15 @@ from wordeq import (
     DescentFailed,
     DescentResult,
     EqClass,
+    Equation,
+    FiniteLanguage,
     Identity,
     InvalidPseudoSolution,
     MissingImage,
     MorphicPermutation,
     NotInMonoid,
     ProductLimitExceeded,
+    PseudoFreeBasis,
     PseudoSolution,
     RankCertificate,
     Solution,
@@ -45,12 +55,147 @@ from wordeq import (
     WordEqError,
     check_pseudo_solution,
     check_solution,
-    factorizations,
+    class_factorization,
     pseudo_free_hull,
     solution_rank,
 )
 from wordeq.cli import HUMAN_TABLE_ROWS, JobConfig, parse_config
 from wordeq.equations import _class_symbols
+from wordeq.words import _join, _require_same_alphabet, reachable_suffixes
+
+
+# -- former library functions, unchanged
+
+
+def product(
+    k: FiniteLanguage, l: FiniteLanguage, limit: int = DEFAULT_PRODUCT_LIMIT
+) -> FiniteLanguage:
+    """Elementwise concatenation {u·v | u in K, v in L}, canonicalized, after
+    checking len(K)*len(L) <= limit."""
+    _require_same_alphabet(k, l)
+    if len(k) * len(l) > limit:
+        raise ProductLimitExceeded(f"product of {len(k)} x {len(l)} words exceeds limit {limit}")
+    # operands of mixed lengths can give one word twice, as a·ab = aa·b
+    return FiniteLanguage.of_letters(k.alphabet, {u + v for u in k.letters for v in l.letters})
+
+
+def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
+    """All ways to write w as a product of basis words.
+
+    Results are ordered lexicographically by the index sequence of factors
+    into the sorted basis. Empty list means w is outside the generated
+    monoid; factorizing ε yields the single empty sequence.
+    """
+    bs = sorted({b.letters for b in basis})
+    if () in bs:
+        raise ValueError("empty word not allowed in a factorization basis")
+    target = w.letters
+    n = len(target)
+    reach = reachable_suffixes(target, bs)
+    # depth first on an explicit stack, the sorted basis in order at each
+    # position; only reachable positions are entered, so every branch ends
+    # in a result
+    out: list[tuple[Word, ...]] = [()] if n == 0 else []
+    factors: list[Word] = []  # the factors of target[:pos]
+    pos = 0
+    untried = [iter(bs)] if reach[0] else []  # untried[i]: basis words not yet tried as factor i
+    while untried:
+        for b in untried[-1]:
+            j = pos + len(b)
+            if j <= n and reach[j] and target[pos:j] == b:
+                factors.append(Word(w.alphabet, b))
+                pos = j
+                if pos == n:
+                    out.append(tuple(factors))
+                untried.append(iter(bs))
+                break
+        else:  # factor i is spent: back to factor i - 1
+            untried.pop()
+            if factors:
+                pos -= len(factors.pop())
+    return out
+
+
+def class_closure(rel: Anticongruence, words: Iterable[Word]) -> frozenset[Word]:
+    """The input together with every class member of each input word.
+
+    One pass reaches the fixpoint: members of a class all have the same
+    class.
+    """
+    out: set[Word] = set()
+    for w in words:
+        out.update(Word(w.alphabet, ls) for ls in rel.class_letters(w.letters))
+    return frozenset(out)
+
+
+def factorization_is_morphism(pfb: PseudoFreeBasis, u: Word, v: Word) -> bool:
+    """Whether the class factorization of u·v is the two factorizations joined."""
+    return class_factorization(pfb, u + v) == class_factorization(pfb, u) + class_factorization(pfb, v)
+
+
+def class_factor_stability(pfb: PseudoFreeBasis, w: Word) -> bool:
+    """Whether the whole class of w sits inside the product of w's class sequence."""
+    cw = class_factorization(pfb, w)
+    if not cw.classes:
+        return True
+    lang = cw.language()
+    for ls in pfb.rel.class_letters(w.letters):
+        other = Word(w.alphabet, ls)
+        if other not in lang or class_factorization(pfb, other) != cw:
+            return False
+    return True
+
+
+def align_equivalent_sides(
+    e: Equation, rel: Anticongruence, side_words: Sequence[Word]
+) -> tuple[Word, ...]:
+    """Re-cut equivalent sides into exactly equal ones.
+
+    Takes one word per occurrence (left side first), requires same-unknown
+    occurrences to be equivalent and the two concatenated sides to be
+    equivalent, and returns the per-occurrence words with the right side
+    re-cut from the left side's concatenation at the original lengths.
+    """
+    lhs_names, rhs_names = e.occurrence_names()
+    n_l, n_r = len(lhs_names), len(rhs_names)
+    if len(side_words) != n_l + n_r:
+        raise ValueError(f"expected {n_l + n_r} occurrence words, got {len(side_words)}")
+    if not side_words:
+        return ()
+    alphabet = side_words[0].alphabet
+    all_names = lhs_names + rhs_names
+    same_unknown_pairs = [
+        (i, j)
+        for i in range(len(all_names))
+        for j in range(i + 1, len(all_names))
+        if all_names[i] == all_names[j]
+    ]
+    for i, j in same_unknown_pairs:
+        if not rel.equiv(side_words[i], side_words[j]):
+            raise ValueError(
+                f"occurrences {i} and {j} of {all_names[i]} carry non-equivalent words"
+            )
+    left = Word(alphabet, _join(w.letters for w in side_words[:n_l]))
+    right = Word(alphabet, _join(w.letters for w in side_words[n_l:]))
+    if len(left) != len(right) or not rel.equiv(left, right):
+        raise ValueError("concatenated sides are not equivalent")
+
+    out = list(side_words[:n_l])
+    pos = 0
+    for w in side_words[n_l:]:
+        out.append(left[pos : pos + len(w)])
+        pos += len(w)
+
+    for i, j in same_unknown_pairs:
+        if not rel.equiv(out[i], out[j]):
+            raise WordEqError(
+                "re-cut broke a same-unknown equivalence; "
+                "the relation does not satisfy the cutting condition"
+            )
+    return tuple(out)
+
+
+# -- oracles
 
 
 def brute_require_limit(limit: int) -> None:
@@ -376,7 +521,7 @@ def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     return DescentResult(class_alphabet, alpha, hull, Word(psol.rel.alphabet, min(common)))
 
 
-def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT, budget=None) -> RankCertificate:
+def brute_certificate(e, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT, budget=None) -> RankCertificate:
     """The library's former bounded_rank_certificate over brute_pseudo_solutions,
     ranking each ordinary solution with solution_rank and descending each
     pseudo-solution with brute_descend. A spent budget or a guard trip
@@ -384,7 +529,7 @@ def brute_certificate(e, sigma, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT, budge
     ordinary_count = 0
     max_ordinary = -1
     ordinary_witness: Optional[Solution] = None
-    for psol in brute_pseudo_solutions(e, Identity(sigma), max_len, budget=budget, limit=limit):
+    for psol in brute_pseudo_solutions(e, Identity(rel.alphabet), max_len, budget=budget, limit=limit):
         sol = Solution({x: c.rep for x, c in psol.images.items()})
         ordinary_count += 1
         r = solution_rank(sol)
@@ -482,7 +627,7 @@ def brute_search_report(cfg: JobConfig, machine: bool) -> tuple[int, str, Option
         "budget": cfg.budget,
     }
     try:
-        cert = brute_certificate(e, cfg.alphabet, rel, cfg.max_len, cfg.product_guard, cfg.budget)
+        cert = brute_certificate(e, rel, cfg.max_len, cfg.product_guard, cfg.budget)
     except BudgetExceeded as exc:
         data.update(budget_exhausted=True, assignments_examined=exc.examined,
                     solutions_found_before_exhaustion=exc.emitted)

@@ -20,7 +20,6 @@ from wordeq import (
     PseudoSolution,
     Reversal,
     Word,
-    align_equivalent_sides,
     bounded_rank_certificate,
     check_pseudo_solution,
     check_solution,
@@ -38,7 +37,7 @@ from wordeq import (
 )
 from wordeq.cli import run_command
 
-from oracles import all_word_sets, brute_double_factorization
+from oracles import align_equivalent_sides, all_word_sets, brute_double_factorization
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")

@@ -59,23 +59,23 @@ def assert_same_certificate(cert, expect):
 def test_descend_and_certificate_match_oracle(name, e, rel, max_len):
     for psol in enumerate_pseudo_solutions(e, rel, max_len):
         assert view(descend, e, psol) == view(brute_descend, e, psol), repr(psol)
-    cert = bounded_rank_certificate(e, rel.alphabet, rel, max_len)
-    assert_same_certificate(cert, brute_certificate(e, rel.alphabet, rel, max_len))
+    cert = bounded_rank_certificate(e, rel, max_len)
+    assert_same_certificate(cert, brute_certificate(e, rel, max_len))
 
 
 def test_sweep_descends_nontrivial_hulls():
     ranks = set()
     for _, e, rel, max_len in INSTANCES:
         if rel.kind != "identity":
-            ranks.update(bounded_rank_certificate(e, rel.alphabet, rel, max_len).pseudo_ranks)
+            ranks.update(bounded_rank_certificate(e, rel, max_len).pseudo_ranks)
     assert {0, 1, 2} <= ranks
 
 
 @pytest.mark.parametrize("text,count", [("x y = y x", 8), ("x y z = z y x", 68)])
 def test_descent_failures_match_oracle(text, count):
     e = parse_equation(text)
-    cert = bounded_rank_certificate(e, AB, NOT_CUT_CLOSED, 3)
-    assert_same_certificate(cert, brute_certificate(e, AB, NOT_CUT_CLOSED, 3))
+    cert = bounded_rank_certificate(e, NOT_CUT_CLOSED, 3)
+    assert_same_certificate(cert, brute_certificate(e, NOT_CUT_CLOSED, 3))
     assert len(cert.descent_failures) == count
     for psol in cert.pseudo_solutions:
         assert view(descend, e, psol) == view(brute_descend, e, psol), repr(psol)
@@ -83,7 +83,7 @@ def test_descent_failures_match_oracle(text, count):
 
 def test_first_descent_failure():
     e = parse_equation("x y = y x")
-    cert = bounded_rank_certificate(e, AB, NOT_CUT_CLOSED, 3)
+    cert = bounded_rank_certificate(e, NOT_CUT_CLOSED, 3)
     assert cert.descent_failures[0] == (
         "PseudoSolution(x->[a], y->[ab]): descended morphism does not solve x y = y x"
     )
@@ -110,8 +110,8 @@ def test_first_descent_failure():
 )
 def test_corollary_boundary(text, rel, summary, first, common):
     e = parse_equation(text)
-    cert = bounded_rank_certificate(e, AB, rel, 3)
-    assert_same_certificate(cert, brute_certificate(e, AB, rel, 3))
+    cert = bounded_rank_certificate(e, rel, 3)
+    assert_same_certificate(cert, brute_certificate(e, rel, 3))
     assert (cert.pseudo_count, cert.max_pseudo_rank, cert.max_ordinary_rank,
             len(cert.descent_failures)) == summary
     if first is not None:
@@ -137,7 +137,7 @@ def test_hull_that_cannot_close_ends_the_certificate():
     # {aa, bb} cannot be class-closed, so no pseudo-rank exists for it
     rel = PairTable(AB, [((0, 0), (1, 1))])
     with pytest.raises(NotClassClosed):
-        bounded_rank_certificate(parse_equation("x y = y x"), AB, rel, 3)
+        bounded_rank_certificate(parse_equation("x y = y x"), rel, 3)
 
 
 def psol(rel, **reps):
@@ -154,8 +154,8 @@ def test_limit_below_one_refused_like_the_oracle(limit):
         lambda: descend(e, p, limit=limit),
         lambda: brute_descend(e, p, limit=limit),
         lambda: check_pseudo_solution(e, p, limit=limit),
-        lambda: bounded_rank_certificate(e, AB, ident, 2, limit=limit),
-        lambda: brute_certificate(e, AB, ident, 2, limit=limit),
+        lambda: bounded_rank_certificate(e, ident, 2, limit=limit),
+        lambda: brute_certificate(e, ident, 2, limit=limit),
     ]
     for run in runs:
         with pytest.raises(ValueError) as exc:

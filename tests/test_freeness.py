@@ -13,7 +13,6 @@ from wordeq import (
     NotClassClosed,
     WordEqError,
     class_factorization,
-    factorizations,
     free_hull,
     hull_oracle,
     is_code,
@@ -25,7 +24,14 @@ from wordeq import (
 from wordeq.freeness import _is_code_cached
 from wordeq.words import least_factorization
 
-from oracles import PairTable, all_word_sets, brute_double_factorization, brute_factorizations, brute_is_code
+from oracles import (
+    PairTable,
+    all_word_sets,
+    brute_double_factorization,
+    brute_factorizations,
+    brute_is_code,
+    factorizations,
+)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")

