@@ -386,7 +386,8 @@ class Report:
         out.write("\n")
 
     def _pieces(self, machine: bool) -> Iterator[str]:
-        # one per top-level key, joined the way json.dumps and _human join a dict
+        # one per top-level key, joined the way json.dumps joins a dict, or one
+        # human line per key; no value nests deeper than the hull's classes
         for i, (key, value) in enumerate(self.data.items()):
             if machine:
                 yield (", " if i else "{") + json.dumps(key) + ": "
@@ -394,30 +395,16 @@ class Report:
                 yield "\n"
             if isinstance(value, (SideLanguage, SearchRows)):
                 yield from value.pieces(key, machine)
+            elif machine:
+                yield json.dumps(value, ensure_ascii=True)
+            elif not isinstance(value, dict):
+                yield f"{key}: {_human_scalar(value)}"
+            elif value and not any(isinstance(v, (dict, list)) for v in value.values()):
+                yield f"{key}: " + ", ".join(f"{k}={_human_scalar(v)}" for k, v in value.items())
             else:
-                yield json.dumps(value, ensure_ascii=True) if machine else self._human({key: value})
+                yield f"{key}:" + "".join(f"\n  {k}: {_human_scalar(v)}" for k, v in value.items())
         if machine:
             yield "}"
-
-    def _human(self, obj: dict) -> str:
-        return "\n".join(self._human_lines(obj, prefix=""))
-
-    def _human_lines(self, obj: dict, prefix: str) -> list[str]:
-        lines = []
-        for key, value in obj.items():
-            label = f"{prefix}{key}"
-            if isinstance(value, dict):
-                if value and all(not isinstance(v, (dict, list)) for v in value.values()):
-                    inner = ", ".join(f"{k}={_human_scalar(v)}" for k, v in value.items())
-                    lines.append(f"{label}: {inner}")
-                else:
-                    lines.append(f"{label}:")
-                    lines.extend(self._human_lines(value, prefix + "  "))
-            elif isinstance(value, list):
-                lines.append(f"{label}: {{{', '.join(_human_scalar(v) for v in value)}}}")
-            else:
-                lines.append(f"{label}: {_human_scalar(value)}")
-        return lines
 
 
 def _human_scalar(v: object) -> str:

@@ -171,7 +171,7 @@ class PseudoSolution:
         return self.images[name]
 
     def union_members(self) -> frozenset[Word]:
-        """All class members of all images, the word set whose hull is taken."""
+        """All class members of all images."""
         out: set[Word] = set()
         for c in self.images.values():
             out.update(c.members())
@@ -258,9 +258,9 @@ def _least_common(
     ends = [*itertools.accumulate((len(c[0]) for c in other), initial=0)]
     if stops[-1] != ends[-1]:
         return None
-    blocks = [*zip(ends, ends[1:], other)]  # (start, end, class) of each block of other
-    at = functools.partial(bisect.bisect_right, ends)  # at(p) - 1: the first block to end after p
-    cuts = [blocks[at(s) - 1 : at(t) - 1] for s, t in zip(stops, stops[1:])]  # those ending in each class
+    # first[i]: the first block of other to end after stops[i], so blocks
+    # first[i] to first[i + 1] - 1 are those that end within class i
+    first = [bisect.bisect_right(ends, s) - 1 for s in stops]
     word: list[int] = []  # word[: stops[i]] cleared the cuts of classes 0..i-1
     untried = [iter(side[0])]  # untried[i]: the members of class i not yet tried
     while untried:
@@ -268,8 +268,8 @@ def _least_common(
         for v in untried[i]:
             del word[stops[i] :]
             word += v
-            for a, b, block in cuts[i]:
-                if tuple(word[a:b]) not in block:
+            for j in range(first[i], first[i + 1]):
+                if tuple(word[ends[j] : ends[j + 1]]) not in other[j]:
                     break
             else:  # on to the next class
                 if i + 1 == len(side):
@@ -363,12 +363,15 @@ def _hull(rel: Anticongruence, words: set[Letters]) -> tuple[Letters, ...]:
 _CLASS_INDEX_IDENTITY = Identity(Alphabet(("[·]",)))
 
 
-def _hull_basis(psol: PseudoSolution) -> tuple[Letters, ...]:
-    """The cached hull of all class members of all images (PseudoSolution.union_members)."""
+def _hull_basis(e: Equation, psol: PseudoSolution) -> tuple[Letters, ...]:
+    """The cached hull of the class members of the unknowns' images; an
+    unknown with no image raises MissingImage."""
     rel = psol.rel
     members: set[Letters] = set()
-    for c in psol.images.values():
-        members.update(rel.class_letters(c.rep.letters))
+    for name in e.unknowns.symbols:
+        if name not in psol.images:
+            raise MissingImage(f"no image for unknown {name}")
+        members.update(rel.class_letters(psol.images[name].rep.letters))
     members.discard(())
     return _hull(rel, members)
 
@@ -380,7 +383,7 @@ def _descent(
     the hull basis, its class representatives and each unknown's image as
     class indices."""
     rel = psol.rel
-    basis = _hull_basis(psol)
+    basis = _hull_basis(e, psol)
     reps = class_reps(rel, basis)
     rep_index = {r: i for i, r in enumerate(reps)}
     class_index = {b: rep_index[rel.class_letters(b)[0]] for b in basis}
@@ -388,8 +391,6 @@ def _descent(
     syms = e.unknowns.symbols
     images = {}
     for name in syms:
-        if name not in psol.images:
-            raise MissingImage(f"no image for unknown {name}")
         rep = psol.images[name].rep
         factors = least_factorization(rep.letters, class_index, lengths)
         if factors is None:
@@ -411,7 +412,7 @@ def descend(
 ) -> DescentResult:
     """Turn a valid pseudo-solution into an ordinary solution over class names.
 
-    Takes the pseudo-free hull of all image class members, factorizes each
+    Takes the pseudo-free hull of the unknowns' image class members, factorizes each
     image representative over its basis (one walk, the basis is a code),
     and reads the factors' classes as letters of the hull's class
     alphabet. check_pseudo_solution decides first, with its errors, and
@@ -542,10 +543,9 @@ def enumerate_pseudo_solutions(
     _require_limit(limit)
     walk = _walk(e, rel, max_len, budget, limit)
     emitted = 0
-    for batch in walk.batches:
-        for _, found in batch:
-            emitted += 1
-            yield walk.solution(found)
+    for found in walk.found:
+        emitted += 1
+        yield walk.solution(found)
     if walk.trip is not None:
         raise walk.trip
     if walk.spent is not None:
@@ -553,13 +553,13 @@ def enumerate_pseudo_solutions(
 
 
 class _Walk(NamedTuple):
-    """A pseudo walk whose stop is fixed before it walks: batches yields lists
-    of solutions, each a (number, indices into the representatives) pair,
-    in order, and solution builds a PseudoSolution from its indices. trip
-    is the guard error that ends the walk when the guard stops it first,
-    and spent(emitted) the BudgetExceeded that ends it when the budget does."""
+    """A pseudo walk whose stop is fixed before it walks: found yields each
+    solution's indices into the representatives, in order, and solution
+    builds a PseudoSolution from them. trip is the guard error that ends
+    the walk when the guard stops it first, and spent(emitted) the
+    BudgetExceeded that ends it when the budget does."""
 
-    batches: Iterator[list[tuple[int, tuple[int, ...]]]]
+    found: Iterator[tuple[int, ...]]
     solution: Callable[[tuple[int, ...]], PseudoSolution]
     trip: Optional[ProductLimitExceeded]
     spent: Optional[Callable[[int], BudgetExceeded]]
@@ -647,10 +647,10 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
             t.append(x)
         return number, t
 
-    def solutions(plan: list, stop: int) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+    def solutions(plan: list, stop: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         # (number, indices) of a vector's pseudo-solutions numbered below stop,
-        # in batches that share all unknowns but the last. untried[d] holds
-        # unknown d's candidates not yet tried, at[d] the number of indices before d
+        # in order. untried[d] holds unknown d's candidates not yet tried,
+        # at[d] the number of indices before d
         t, at = [0] * n, [0] * (n + 1)
 
         def candidates(d: int) -> Iterator[int]:
@@ -672,7 +672,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
                 cands = cands[: bisect.bisect_left(cands, -(-(stop - at[d]) // weights[d]))]
             return iter(cands)
 
-        untried, batch = [candidates(0)], []
+        untried = [candidates(0)]
         while untried:
             d = len(untried) - 1
             for x in untried[d]:
@@ -681,12 +681,9 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
                     untried.append(candidates(d + 1))
                     break
                 if _least_common([members[t[u]] for u in lhs], [members[t[u]] for u in rhs]) is not None:
-                    batch.append((at[n], tuple(t)))
+                    yield at[n], tuple(t)
             else:  # unknown d is spent: back to the previous one
                 untried.pop()
-                if batch:
-                    yield batch
-                    batch = []
 
     # every assignment giving u length k is numbered at least spans[k][0] * weights[u]
     domains = tuple(tuple(k for k in sorted(spans) if spans[k][0] * weights[u] < bound) for u in range(n))
@@ -694,9 +691,8 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
     first = min((found for vec, _ in vectors if guarded and (found := trip(vec))), default=None)
     stop = bound if first is None else min(first[0], bound)
     streams = [solutions([step(k, *cut) for k, cut in zip(vec, cuts)], stop) for vec, cuts in vectors]
-    # the first n - 1 indices and the last unknown's length fix the vector, so
-    # the numbers of two batches never interleave and merging by the first suffices
-    batches = heapq.merge(*streams, key=lambda batch: batch[0][0])
+    # no two assignments share a number, so the merge never compares indices
+    found = (t for _, t in heapq.merge(*streams))
 
     def solution(found: tuple[int, ...]) -> PseudoSolution:
         images = {}
@@ -714,7 +710,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
         tripped = _guard_error([sizes[t[u]] for u in side], limit)
     elif bound < total:
         spent = functools.partial(BudgetExceeded, f"assignment budget {budget} exceeded", bound)
-    return _Walk(batches, solution, tripped, spent)
+    return _Walk(found, solution, tripped, spent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -796,7 +792,7 @@ class CertificateRows:
         if walk.trip is not None:
             raise walk.trip
         if walk.spent is not None:
-            raise walk.spent(sum(map(len, walk.batches)))
+            raise walk.spent(sum(1 for _ in walk.found))
         self._rows = self._stream(e, rel, walk, reuse)
 
     def __iter__(self) -> Iterator[tuple[PseudoSolution, int]]:
@@ -813,8 +809,7 @@ class CertificateRows:
     ) -> Iterator[tuple[PseudoSolution, int]]:
         # the walk runs ahead by up to _WALK_AHEAD solutions, which are then
         # descended in turn: a walk step between every two descents is slower
-        found = (t for batch in walk.batches for _, t in batch)
-        for ahead in iter(lambda: [*itertools.islice(found, _WALK_AHEAD)], []):
+        for ahead in iter(lambda: [*itertools.islice(walk.found, _WALK_AHEAD)], []):
             for t in ahead:
                 psol = walk.solution(t)
                 try:
@@ -822,7 +817,7 @@ class CertificateRows:
                     pr = len(_descent(e, psol)[1])
                 except WordEqError as exc:
                     self.descent_failures.append(f"{psol!r}: {exc}")
-                    pr = len(class_reps(rel, _hull_basis(psol)))
+                    pr = len(class_reps(rel, _hull_basis(e, psol)))
                 if reuse:
                     # under the identity each class is its representative, so
                     # the pseudo-rank is the rank of the representatives

@@ -490,16 +490,21 @@ def brute_class_factorization(pfb, w: Word) -> ClassWord:
 
 
 def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
-    """The library's former descend, on Word objects: hull of the union members,
-    brute_class_factorization of each image, a fresh class alphabet, and the
-    solution and rank checks through check_solution and solution_rank."""
+    """The library's former descend, on Word objects: hull of the members of
+    the unknowns' images, brute_class_factorization of each image, a fresh
+    class alphabet, and the solution and rank checks through check_solution
+    and solution_rank."""
     brute_require_limit(limit)
     common = brute_side_letters(e.lhs, e.unknowns, psol, limit) & brute_side_letters(
         e.rhs, e.unknowns, psol, limit
     )
     if not common:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
-    hull = pseudo_free_hull(psol.rel, psol.union_members())
+    for name in e.unknowns.symbols:
+        if name not in psol.images:
+            raise MissingImage(f"no image for unknown {name}")
+    members = {w for name in e.unknowns.symbols for w in psol.images[name].members()}
+    hull = pseudo_free_hull(psol.rel, members)
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
     else:
@@ -507,8 +512,6 @@ def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     index = {c: i for i, c in enumerate(hull.classes)}
     images = {}
     for name in e.unknowns.symbols:
-        if name not in psol.images:
-            raise MissingImage(f"no image for unknown {name}")
         cw = brute_class_factorization(hull, psol.images[name].rep)
         images[name] = Word(class_alphabet, tuple(index[c] for c in cw))
     alpha = Solution(images)

@@ -186,6 +186,13 @@ class TestErrors:
         xyz = Alphabet("xyz")
         e = Equation(xyz, xyz.word("xy"), xyz.word("yx"))
         assert self.same(MissingImage, e, psol(self.swap, x="a", y="b")) == "no image for unknown z"
+        # the converse: the image of a name that is no unknown takes no part in the hull
+        e = parse_equation("x y = y x")
+        p = psol(MorphicPermutation.from_cycles(ABC, "(a b)"), x="a", y="a", z="c")
+        assert check_pseudo_solution(e, p).valid
+        assert view(descend, e, p) == view(brute_descend, e, p)
+        result = descend(e, p)
+        assert (repr(result.solution), result.pseudo_rank()) == ("Solution(x->[a], y->[a])", 1)
 
     @pytest.mark.parametrize(
         "text,error,message",

@@ -1,9 +1,10 @@
-"""Byte-for-byte regression check of the --machine reports on the shipped configs.
+"""Byte-for-byte regression check of the reports on the shipped configs.
 
 tests/golden/<name>.txt holds the exit code on its first line and the
-exact --machine stdout after it. <name> is <cfg>.<command> for every
+exact --machine stdout after it, and tests/golden/<name>.human.txt the
+same for the human report. <name> is <cfg>.<command> for every
 configs/*.cfg and every CLI command, plus the extra runs listed in
-EXTRA. Rewrite them with `python tests/test_golden.py` only when a
+EXTRA. Rewrite both with `python tests/test_golden.py` only when a
 report is meant to change.
 """
 import io
@@ -29,14 +30,14 @@ CASES = [
 ] + EXTRA
 
 
-def render(argv: list[str]) -> str:
+def render(argv: list[str], machine: bool = True) -> str:
     out, err = io.StringIO(), io.StringIO()
-    code = main(argv + ["--machine"], out=out, err=err)
+    code = main(argv + ["--machine"] * machine, out=out, err=err)
     return f"{code}\n{out.getvalue()}"
 
 
-def golden_path(name: str) -> Path:
-    return GOLDEN / f"{name}.txt"
+def golden_path(name: str, machine: bool = True) -> Path:
+    return GOLDEN / f"{name}.txt" if machine else GOLDEN / f"{name}.human.txt"
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
@@ -44,7 +45,14 @@ def test_machine_report_matches_golden(name, argv):
     assert render(argv) == golden_path(name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_human_report_matches_golden(name, argv):
+    expect = golden_path(name, machine=False).read_text(encoding="utf-8")
+    assert render(argv, machine=False) == expect
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
-        golden_path(name).write_text(render(argv), encoding="utf-8")
+        for machine in (True, False):
+            golden_path(name, machine).write_text(render(argv, machine), encoding="utf-8")
