@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .anticongruence import Anticongruence, EqClass, Identity
-from .freeness import Basis, Letters, hull_letters, rank
-from .pseudo import NotInMonoid, PseudoFreeBasis, class_reps
+from .freeness import Letters, hull_letters, rank
+from .pseudo import PseudoFreeBasis, class_reps
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
@@ -169,13 +169,6 @@ class PseudoSolution:
 
     def __getitem__(self, name: str) -> EqClass:
         return self.images[name]
-
-    def union_members(self) -> frozenset[Word]:
-        """All class members of all images."""
-        out: set[Word] = set()
-        for c in self.images.values():
-            out.update(c.members())
-        return frozenset(out)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -363,48 +356,31 @@ def _hull(rel: Anticongruence, words: set[Letters]) -> tuple[Letters, ...]:
 _CLASS_INDEX_IDENTITY = Identity(Alphabet(("[·]",)))
 
 
-def _hull_basis(e: Equation, psol: PseudoSolution) -> tuple[Letters, ...]:
-    """The cached hull of the class members of the unknowns' images; an
-    unknown with no image raises MissingImage."""
-    rel = psol.rel
-    members: set[Letters] = set()
-    for name in e.unknowns.symbols:
-        if name not in psol.images:
-            raise MissingImage(f"no image for unknown {name}")
-        members.update(rel.class_letters(psol.images[name].rep.letters))
+def _hull_of(rel: Anticongruence, images: Sequence[Letters]) -> tuple[Letters, ...]:
+    """The cached hull of the class members of images."""
+    members = {m for w in images for m in rel.class_letters(w)}
     members.discard(())
     return _hull(rel, members)
 
 
 def _descent(
-    e: Equation, psol: PseudoSolution
-) -> tuple[tuple[Letters, ...], list[Letters], dict[str, tuple[int, ...]]]:
-    """descend's letter work on a pseudo-solution whose sides share a word:
-    the hull basis, its class representatives and each unknown's image as
-    class indices."""
-    rel = psol.rel
-    basis = _hull_basis(e, psol)
+    e: Equation, rel: Anticongruence, images: Sequence[Letters]
+) -> tuple[tuple[Letters, ...], list[Letters], list[tuple[int, ...]]]:
+    """descend's letter work on the unknowns' images (representatives, in unknown order)
+    whose sides share a word: the hull basis, its class representatives and each image
+    as class indices. Every image factors: the basis generates its class members."""
+    basis = _hull_of(rel, images)
     reps = class_reps(rel, basis)
     rep_index = {r: i for i, r in enumerate(reps)}
     class_index = {b: rep_index[rel.class_letters(b)[0]] for b in basis}
     lengths = sorted({len(b) for b in basis})
-    syms = e.unknowns.symbols
-    images = {}
-    for name in syms:
-        rep = psol.images[name].rep
-        factors = least_factorization(rep.letters, class_index, lengths)
-        if factors is None:
-            words = Basis(tuple(Word(rel.alphabet, b) for b in basis))
-            raise NotInMonoid(f"{rep} is not in the monoid of {words}")
-        images[name] = tuple(class_index[b] for b in factors)
-    lhs = _join(images[syms[i]] for i in e.lhs.letters)
-    rhs = _join(images[syms[i]] for i in e.rhs.letters)
-    if lhs != rhs:
+    out = [tuple(class_index[b] for b in least_factorization(w, class_index, lengths)) for w in images]
+    if _join(map(out.__getitem__, e.lhs.letters)) != _join(map(out.__getitem__, e.rhs.letters)):
         raise DescentFailed(f"descended morphism does not solve {e}")
-    r = len(_hull(_CLASS_INDEX_IDENTITY, {w for w in images.values() if w}))
+    r = len(_hull(_CLASS_INDEX_IDENTITY, {w for w in out if w}))
     if r != len(reps):
         raise DescentFailed(f"descended rank {r} differs from pseudo-rank {len(reps)}")
-    return basis, reps, images
+    return basis, reps, out
 
 
 def descend(
@@ -424,13 +400,17 @@ def descend(
     verdict = check_pseudo_solution(e, psol, limit)
     if not verdict.valid:
         raise InvalidPseudoSolution(f"side languages are disjoint for {psol!r}")
-    basis, reps, images = _descent(e, psol)
+    syms = e.unknowns.symbols
+    for name in syms:  # one on neither side escapes check_pseudo_solution
+        if name not in psol.images:
+            raise MissingImage(f"no image for unknown {name}")
+    basis, reps, images = _descent(e, psol.rel, [psol.images[x].rep.letters for x in syms])
     hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
     else:
         class_alphabet = Alphabet(("[·]",))  # all images ε; one unused symbol
-    alpha = Solution({x: Word(class_alphabet, w) for x, w in images.items()})
+    alpha = Solution({x: Word(class_alphabet, w) for x, w in zip(syms, images)})
     return DescentResult(class_alphabet, alpha, hull, verdict.common)
 
 
@@ -554,15 +534,26 @@ def enumerate_pseudo_solutions(
 
 class _Walk(NamedTuple):
     """A pseudo walk whose stop is fixed before it walks: found yields each
-    solution's indices into the representatives, in order, and solution
-    builds a PseudoSolution from them. trip is the guard error that ends
-    the walk when the guard stops it first, and spent(emitted) the
-    BudgetExceeded that ends it when the budget does."""
+    solution's indices into reps, the representatives' letter tuples, in
+    order, and solution builds a PseudoSolution from them. trip is the
+    guard error that ends the walk when the guard stops it first, and
+    spent(emitted) the BudgetExceeded that ends it when the budget does."""
 
     found: Iterator[tuple[int, ...]]
+    reps: list[Letters]
     solution: Callable[[tuple[int, ...]], PseudoSolution]
     trip: Optional[ProductLimitExceeded]
     spent: Optional[Callable[[int], BudgetExceeded]]
+
+
+def _unstopped(walk: _Walk) -> _Walk:
+    """walk, unless a stop ends it: a guard trip raises at once, a spent
+    budget once the walk has counted what it would emit."""
+    if walk.trip is not None:
+        raise walk.trip
+    if walk.spent is not None:
+        raise walk.spent(sum(1 for _ in walk.found))
+    return walk
 
 
 def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int], limit: int) -> _Walk:
@@ -572,7 +563,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
     lhs, rhs = e.lhs.letters, e.rhs.letters
     words, members = _representatives(rel, max_len, budget)
     if not words:  # max_len < 0: no representatives
-        return _Walk(iter(()), PseudoSolution, None, None)
+        return _Walk(iter(()), words, PseudoSolution, None, None)
     n_reps = len(words)
     sizes = [len(m) for m in members]
     spans: dict[int, list[int]] = {}  # length -> its representatives, in order
@@ -710,7 +701,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
         tripped = _guard_error([sizes[t[u]] for u in side], limit)
     elif bound < total:
         spent = functools.partial(BudgetExceeded, f"assignment budget {budget} exceeded", bound)
-    return _Walk(found, solution, tripped, spent)
+    return _Walk(found, words, solution, tripped, spent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -748,11 +739,13 @@ class CertificateRows:
 
     Ordinary solutions are enumerated under the identity relation on
     rel's alphabet; pseudo-solutions under rel, by the same walk when rel
-    is that identity. The search decides how it ends before the first
-    row: the ordinary walk runs to completion first (unless the pseudo
-    walk is that walk), and the pseudo walk's stop is fixed before it walks, so
-    a guard trip raises ProductLimitExceeded at once and a spent budget
-    walks only to count what it would emit, then raises BudgetExceeded.
+    is that identity. The search decides how it ends before anything is
+    ranked: both walks fix their stops before they walk, and _unstopped
+    raises the ordinary walk's stop (unless the pseudo walk is that walk),
+    then the pseudo walk's. A guard trip raises ProductLimitExceeded at
+    once; a spent budget walks only to count what it would emit, then
+    raises BudgetExceeded. Only then are the ordinary solutions ranked,
+    all before the first row, on the walk's letter tuples.
     Every row has sides within limit that share a word, so it descends
     without that check or result objects (_descent), and a failure is
     recorded with the pseudo-rank read off the hull. The maxima are lower
@@ -781,28 +774,26 @@ class CertificateRows:
         self.pseudo_witness: Optional[PseudoSolution] = None
         self.descent_failures: list[str] = []
         identity = Identity(rel.alphabet)
-        # under the identity the pseudo phase would repeat the ordinary walk
+        # under the identity the pseudo phase would repeat the ordinary walk, and
+        # an identity walk stops only for a spent budget: its classes have one member
         reuse = rel == identity
-        if not reuse:
-            for psol in enumerate_pseudo_solutions(e, identity, max_len, budget=budget, limit=limit):
+        ordinary = None if reuse else _unstopped(_walk(e, identity, max_len, budget, limit))
+        walk = _unstopped(_walk(e, rel, max_len, budget, limit))
+        if ordinary is not None:
+            reps = ordinary.reps
+            for t in ordinary.found:
                 # solution_rank of the representatives, on their letter tuples
-                reps = {c.rep.letters for c in psol.images.values() if c.rep}
-                self._ordinary(psol, len(_hull(identity, reps)))
-        walk = _walk(e, rel, max_len, budget, limit)
-        if walk.trip is not None:
-            raise walk.trip
-        if walk.spent is not None:
-            raise walk.spent(sum(1 for _ in walk.found))
+                self._ordinary(ordinary, t, len(_hull(identity, {reps[i] for i in t} - {()})))
         self._rows = self._stream(e, rel, walk, reuse)
 
     def __iter__(self) -> Iterator[tuple[PseudoSolution, int]]:
         return self._rows
 
-    def _ordinary(self, psol: PseudoSolution, r: int) -> None:
+    def _ordinary(self, walk: _Walk, t: tuple[int, ...], r: int) -> None:
         self.ordinary_count += 1
         if self.ordinary_witness is None or r > self.max_ordinary_rank:
             self.max_ordinary_rank = r
-            self.ordinary_witness = Solution({x: c.rep for x, c in psol.images.items()})
+            self.ordinary_witness = Solution({x: c.rep for x, c in walk.solution(t).images.items()})
 
     def _stream(
         self, e: Equation, rel: Anticongruence, walk: _Walk, reuse: bool
@@ -812,16 +803,17 @@ class CertificateRows:
         for ahead in iter(lambda: [*itertools.islice(walk.found, _WALK_AHEAD)], []):
             for t in ahead:
                 psol = walk.solution(t)
+                images = [walk.reps[i] for i in t]
                 try:
                     # _descent raises DescentFailed when the two ranks differ
-                    pr = len(_descent(e, psol)[1])
+                    pr = len(_descent(e, rel, images)[1])
                 except WordEqError as exc:
                     self.descent_failures.append(f"{psol!r}: {exc}")
-                    pr = len(class_reps(rel, _hull_basis(e, psol)))
+                    pr = len(class_reps(rel, _hull_of(rel, images)))
                 if reuse:
                     # under the identity each class is its representative, so
                     # the pseudo-rank is the rank of the representatives
-                    self._ordinary(psol, pr)
+                    self._ordinary(walk, t, pr)
                 self.pseudo_count += 1
                 if self.pseudo_witness is None or pr > self.max_pseudo_rank:
                     self.max_pseudo_rank = pr

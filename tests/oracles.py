@@ -489,6 +489,11 @@ def brute_class_factorization(pfb, w: Word) -> ClassWord:
     return ClassWord(tuple(EqClass.of(pfb.rel, b) for b in facts[0]))
 
 
+def image_members(e, psol) -> frozenset[Word]:
+    """The class members of the images of e's unknowns."""
+    return frozenset(w for name in e.unknowns.symbols for w in psol.images[name].members())
+
+
 def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     """The library's former descend, on Word objects: hull of the members of
     the unknowns' images, brute_class_factorization of each image, a fresh
@@ -503,8 +508,7 @@ def brute_descend(e, psol, limit=DEFAULT_PRODUCT_LIMIT) -> DescentResult:
     for name in e.unknowns.symbols:
         if name not in psol.images:
             raise MissingImage(f"no image for unknown {name}")
-    members = {w for name in e.unknowns.symbols for w in psol.images[name].members()}
-    hull = pseudo_free_hull(psol.rel, members)
+    hull = pseudo_free_hull(psol.rel, image_members(e, psol))
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
     else:
@@ -549,7 +553,7 @@ def brute_certificate(e, rel, max_len, limit=DEFAULT_PRODUCT_LIMIT, budget=None)
             pr = brute_descend(e, psol, limit=limit).pseudo_rank()
         except WordEqError as exc:
             failures.append(f"{psol!r}: {exc}")
-            pr = pseudo_free_hull(rel, psol.union_members()).pseudo_rank()
+            pr = pseudo_free_hull(rel, image_members(e, psol)).pseudo_rank()
         ranks.append(pr)
         if pr > max_pseudo:
             max_pseudo = pr

@@ -37,7 +37,7 @@ from wordeq import (
 )
 from wordeq.cli import run_command
 
-from oracles import align_equivalent_sides, all_word_sets, brute_double_factorization
+from oracles import align_equivalent_sides, all_word_sets, brute_double_factorization, image_members
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -152,7 +152,7 @@ def test_criterion_4_descent_instance_suite():
         for psol in enumerate_pseudo_solutions(e, rel, 3):
             result = descend(e, psol)
             assert check_solution(e, result.solution), (str(e), repr(psol))
-            expected = pseudo_rank(rel, psol.union_members())
+            expected = pseudo_rank(rel, image_members(e, psol))
             assert result.solution_rank() == expected, (str(e), repr(psol))
             checked += 1
 

@@ -193,6 +193,21 @@ class TestProductsOfClasses:
                     assert {x.letters for x in rel.class_of(u + v)} <= prod
 
 
+class TestPermutationInput:
+    def test_mapping_that_is_no_permutation_rejected(self):
+        with pytest.raises(ValueError, match="^mapping is not a permutation of the alphabet indices$"):
+            MorphicPermutation(AB, (0, 0))
+
+    @pytest.mark.parametrize("text", ["(a b", "a b", "((a b))", "(a b)c"])
+    def test_bad_cycle_notation_rejected(self, text):
+        with pytest.raises(ValueError, match="^bad cycle notation: "):
+            MorphicPermutation.from_cycles(ABC, text)
+
+    def test_symbol_in_two_cycles_rejected(self):
+        with pytest.raises(ValueError, match=r"^symbol appears in two cycles: \(b c\)$"):
+            MorphicPermutation.from_cycles(ABC, "(a b)(b c)")
+
+
 class TestClosePairs:
     def test_three_letter_closure(self):
         rel = three_letter_table()
@@ -225,6 +240,10 @@ class TestClosePairs:
     def test_letters_outside_the_alphabet_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             FiniteTable(AB, [((2,), (0,))])
+
+    def test_pair_over_another_alphabet_rejected(self):
+        with pytest.raises(AlphabetMismatch, match="^pair over a different alphabet$"):
+            close_pairs(AB, [(AB.word("a"), ABC.word("b"))])
 
     def test_table_is_closed_on_construction(self):
         # bb~ba and bb~ab are not transitive and not cut-closed as given
@@ -263,6 +282,11 @@ class TestClosePairs:
 class TestVerifyAxioms:
     def test_swap_passes(self):
         assert verify_axioms(swap_ab(), 4) is None
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_length_below_one_rejected(self, max_len):
+        with pytest.raises(ValueError, match="^max_len must be at least 1$"):
+            verify_axioms(swap_ab(), max_len)
 
     def test_identity_passes(self):
         assert verify_axioms(Identity(ABC), 3) is None

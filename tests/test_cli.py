@@ -80,6 +80,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="alphabet"):
             parse_config(write(tmp_path, "rel: identity\n"))
 
+    def test_words_without_alphabet(self, tmp_path):
+        cfg = write(tmp_path, "words: ab b\n")
+        with pytest.raises(ConfigError, match=r":1: words needs an alphabet declared first$"):
+            parse_config(cfg)
+        code, out, err = run(["hull", "--config", cfg, "--machine"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "words needs an alphabet declared first" in err and "Traceback" not in err
+
     def test_bad_word(self, tmp_path):
         with pytest.raises(ConfigError, match="words"):
             parse_config(write(tmp_path, "alphabet: a b\nwords: abz\n"))

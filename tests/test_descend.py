@@ -14,6 +14,8 @@ from test_enumerate import INSTANCES
 from wordeq import (
     Alphabet,
     AlphabetMismatch,
+    BudgetExceeded,
+    CertificateRows,
     DescentFailed,
     EqClass,
     Equation,
@@ -34,6 +36,7 @@ from wordeq import (
     enumerate_pseudo_solutions,
     parse_equation,
 )
+from wordeq.equations import _cached_hull
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -161,6 +164,22 @@ def test_limit_below_one_refused_like_the_oracle(limit):
         with pytest.raises(ValueError) as exc:
             run()
         assert str(exc.value) == f"product limit must be at least 1, got {limit}"
+
+
+@pytest.mark.parametrize(
+    "stop,error",
+    # the budget runs out in the ordinary walk, the guard trips in the pseudo walk
+    [({"budget": 20}, BudgetExceeded), ({"limit": 3}, ProductLimitExceeded)],
+    ids=["budget", "guard"],
+)
+def test_certificate_ranks_nothing_before_its_stop(stop, error):
+    # both walks' stops are raised before any solution is ranked or descended
+    _cached_hull.cache_clear()
+    swap = MorphicPermutation.from_cycles(AB, "(a b)")
+    with pytest.raises(error):
+        CertificateRows(parse_equation("x y z = z y x"), swap, 2, **stop)
+    info = _cached_hull.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 class TestErrors:

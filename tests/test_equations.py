@@ -31,7 +31,7 @@ from wordeq import (
 )
 from wordeq.equations import _least_common, _side_words
 
-from oracles import align_equivalent_sides, brute_product_letters, product
+from oracles import align_equivalent_sides, brute_product_letters, image_members, product
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -93,6 +93,11 @@ class TestParse:
         with pytest.raises(EquationSyntaxError):
             parse_equation("= x y")
 
+    def test_sides_over_another_alphabet_rejected(self):
+        xy = Alphabet("xy")
+        with pytest.raises(ValueError, match="^equation sides must be words over the unknowns alphabet$"):
+            Equation(xy, xy.word("xy"), Alphabet("xyz").word("yx"))
+
     @pytest.mark.parametrize("exponent", ["two", "²", "٣"], ids=["word", "superscript", "arabic_indic"])
     def test_bad_exponent(self, exponent):
         # ² and ٣ pass str.isdigit(); only ASCII digits are exponents
@@ -146,6 +151,11 @@ class TestSolutionRank:
 
 
 class TestCheckPseudoSolution:
+    def test_class_of_another_relation_rejected(self):
+        # an equal relation is still another relation object
+        with pytest.raises(ValueError, match="^image class from a different relation$"):
+            PseudoSolution(swap_ab(), {"x": EqClass.of(swap_ab(), AB.word("a"))})
+
     def test_table_instance(self):
         e = parse_equation("x y z = z y x")
         verdict = check_pseudo_solution(e, psol(three_letter_table(), e, x="abc", y="b", z="a"))
@@ -393,7 +403,7 @@ class TestDescentOnRandomTables:
             for ps in enumerate_pseudo_solutions(e, rel, 2):
                 result = descend(e, ps)
                 assert check_solution(e, result.solution)
-                assert result.solution_rank() == pseudo_rank(rel, ps.union_members())
+                assert result.solution_rank() == pseudo_rank(rel, image_members(e, ps))
                 checked += 1
         assert checked > 500
 

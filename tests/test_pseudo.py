@@ -380,6 +380,10 @@ class TestClassWordRelation:
         with pytest.raises(ValueError, match="different relations"):
             ClassWord((EqClass(Identity(AB), a), EqClass(Identity(ABC), ABC.word("a"))))
 
+    def test_empty_class_word_has_no_language(self):
+        with pytest.raises(ValueError, match="^empty class word has no alphabet to build"):
+            ClassWord(()).language()
+
     def test_equal_relations_count_as_one(self):
         a, b = AB.word("a"), AB.word("b")
         cw = ClassWord((EqClass(Identity(AB), a), EqClass(Identity(Alphabet("ab")), b)))
