@@ -681,9 +681,13 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
     vectors = _cut_plans(lhs, rhs, domains)
     first = min((found for vec, _ in vectors if guarded and (found := trip(vec))), default=None)
     stop = bound if first is None else min(first[0], bound)
-    streams = [solutions([step(k, *cut) for k, cut in zip(vec, cuts)], stop) for vec, cuts in vectors]
-    # no two assignments share a number, so the merge never compares indices
-    found = (t for _, t in heapq.merge(*streams))
+
+    def walked() -> Iterator[tuple[int, ...]]:
+        # set up on the first next(), so a walk that a stop ends first sets up no stream
+        streams = [solutions([step(k, *cut) for k, cut in zip(vec, cuts)], stop) for vec, cuts in vectors]
+        # no two assignments share a number, so the merge never compares indices
+        for _, t in heapq.merge(*streams):
+            yield t
 
     def solution(found: tuple[int, ...]) -> PseudoSolution:
         images = {}
@@ -701,7 +705,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
         tripped = _guard_error([sizes[t[u]] for u in side], limit)
     elif bound < total:
         spent = functools.partial(BudgetExceeded, f"assignment budget {budget} exceeded", bound)
-    return _Walk(found, words, solution, tripped, spent)
+    return _Walk(walked(), words, solution, tripped, spent)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,6 @@ from typing import Collection, Iterable, Iterator, Optional
 
 from .anticongruence import Anticongruence, Identity
 from .words import (
-    Alphabet,
     EnumerationGuardExceeded,
     Word,
     WordEqError,
@@ -138,12 +137,12 @@ def minimal_generators(words: Iterable[Word]) -> frozenset[Word]:
 
     ε is dropped outright; the result generates the same monoid.
     """
-    alphabet, letters = letters_over(words)
-    letters.discard(())
-    return frozenset(Word(alphabet, w) for w in _minimal_letters(letters))
+    _, given = letters_over(words)
+    given.pop((), None)
+    return frozenset(map(given.__getitem__, _minimal_letters(given)))
 
 
-def _minimal_letters(pool: set[Letters]) -> list[Letters]:
+def _minimal_letters(pool: Collection[Letters]) -> list[Letters]:
     """Sorted members of pool that are not products of other members: one pass in length
     order, testing w against the kept members shorter than w, which generate the rest."""
     shorter: set[Letters] = set()  # the kept members shorter than w
@@ -154,7 +153,7 @@ def _minimal_letters(pool: set[Letters]) -> list[Letters]:
             shorter.update(same)
             lengths.append(len(same[0]))
             same = []
-        if not shorter or not reachable_suffixes(w, shorter, lengths)[0]:
+        if not shorter or reachable_suffixes(w, shorter, lengths)[0] is None:
             same.append(w)
     shorter.update(same)
     return sorted(shorter)
@@ -187,24 +186,17 @@ def hull_letters(rel: Anticongruence, words: Collection[Letters]) -> tuple[Lette
     return tuple(basis)
 
 
-def basis_words(alphabet: Alphabet, basis: Iterable[Letters], given: Iterable[Word]) -> dict:
-    """Letters -> Word for each basis word, in basis order; a given Word where one matches."""
-    reuse = {w.letters: w for w in given}
-    return {b: reuse[b] if b in reuse else Word(alphabet, b) for b in basis}
-
-
 def free_hull(words: Iterable[Word]) -> Basis:
     """Basis of the smallest free monoid containing the given words.
 
     This is the pseudo-free hull under the identity relation.
     """
-    given = tuple(words)
-    alphabet, letters = letters_over(given)
-    letters.discard(())
-    if not letters:
+    alphabet, given = letters_over(words)
+    given.pop((), None)
+    if not given:
         return Basis(())
-    basis = hull_letters(Identity(alphabet), frozenset(letters))
-    return Basis(tuple(basis_words(alphabet, basis, given).values()))
+    basis = hull_letters(Identity(alphabet), given)
+    return Basis(tuple(given[b] if b in given else Word(alphabet, b) for b in basis))
 
 
 def rank(words: Iterable[Word]) -> int:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .anticongruence import Anticongruence, EqClass
-from .freeness import Basis, Letters, basis_words, hull_letters
+from .freeness import Basis, Letters, hull_letters
 from .words import (
     DEFAULT_PRODUCT_LIMIT,
     FiniteLanguage,
@@ -84,12 +84,12 @@ class PseudoFreeBasis:
     @classmethod
     def of_letters(
         cls, rel: Anticongruence, basis: Iterable[Letters], reps: Iterable[Letters],
-        given: Iterable[Word] = (),
+        given: Mapping[Letters, Word] = {},
     ) -> PseudoFreeBasis:
         """The basis from its letter tuples and its class representatives (class_reps):
-        one Word per basis word, a given Word where one matches, which is also the rep
-        of its class (the basis is class-closed, so a class's least member is in it)."""
-        words = basis_words(rel.alphabet, basis, given)
+        one Word per basis word b, given[b] where letters_over gave one, which is also the
+        rep of its class (the basis is class-closed, so a class's least member is in it)."""
+        words = {b: given[b] if b in given else Word(rel.alphabet, b) for b in basis}
         return cls(rel, Basis(tuple(words.values())), tuple(EqClass(rel, words[r]) for r in reps))
 
     def pseudo_rank(self) -> int:
@@ -101,10 +101,9 @@ def pseudo_free_hull(rel: Anticongruence, words: Iterable[Word]) -> PseudoFreeBa
 
     The basis comes from freeness.hull_letters, which free_hull also runs.
     """
-    given = tuple(words)
-    _, letters = letters_over(given, rel.alphabet)
-    letters.discard(())
-    basis = hull_letters(rel, frozenset(letters))
+    _, given = letters_over(words, rel.alphabet)
+    given.pop((), None)
+    basis = hull_letters(rel, given)
     return PseudoFreeBasis.of_letters(rel, basis, class_reps(rel, basis), given)
 
 

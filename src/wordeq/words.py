@@ -246,34 +246,35 @@ def _side_blocks(
     return map(join, itertools.product(*classes[:cut])), tail
 
 
-def _side_words(classes: Sequence[Sequence], join: Callable[[tuple], Any] = _join) -> Iterator:
-    """The words of a side, one member of each class concatenated (by join,
-    then +), one at a time in sorted order; see _side_blocks."""
-    prefixes, tail = _side_blocks(classes, SIDE_BLOCK, join)
+def _side_words(classes: Sequence[Sequence]) -> Iterator:
+    """The words of a side, one member of each class concatenated, one at a
+    time in sorted order; see _side_blocks."""
+    prefixes, tail = _side_blocks(classes, SIDE_BLOCK, _join)
     return (p + t for p in prefixes for t in tail)
 
 
 def reachable_suffixes(
     target: tuple[int, ...], basis: Collection[tuple[int, ...]], lengths: Optional[Sequence[int]] = None
-) -> list[bool]:
-    """reach[i] tells whether target[i:] is a product of basis words (nonempty
-    tuples). The slices of target of each basis length are looked up in
-    basis, a set or a dict keyed by the words or else made a set; lengths,
-    if given, are those lengths in ascending order."""
+) -> list[Optional[int]]:
+    """ends[i] is the end of the shortest basis word (a nonempty tuple) at i after
+    which the rest of target is a product of basis words, or None when target[i:]
+    is none; ends[len(target)] is len(target). The slices of target of each basis
+    length are looked up in basis, a set or a dict keyed by the words or else made
+    a set; lengths, if given, are those lengths in ascending order."""
     words = basis if isinstance(basis, (set, frozenset, dict)) else set(basis)
     if lengths is None:
         lengths = sorted({len(b) for b in words})
     n = len(target)
-    reach = [False] * n + [True]
+    ends: list[Optional[int]] = [None] * n + [n]
     for i in range(n - 1, -1, -1):
         for k in lengths:
             j = i + k
             if j > n:
                 break
-            if reach[j] and target[i:j] in words:
-                reach[i] = True
+            if ends[j] is not None and target[i:j] in words:
+                ends[i] = j
                 break
-    return reach
+    return ends
 
 
 def least_factorization(
@@ -284,42 +285,36 @@ def least_factorization(
     lengths as for reachable_suffixes.
 
     The factors that match at one position are prefixes of one another, so
-    the least by index is the shortest whose end reaches the end of target.
-    Only reachable positions are entered, so the walk never backtracks;
-    over a code it finds the only factorization.
+    the least by index is the shortest after which the rest is a product:
+    the factors reachable_suffixes chose, followed from position 0. Over a
+    code this is the only factorization.
     """
-    words = basis if isinstance(basis, (set, frozenset, dict)) else set(basis)
-    if lengths is None:
-        lengths = sorted({len(b) for b in words})
-    reach = reachable_suffixes(target, words, lengths)
-    if not reach[0]:
+    ends = reachable_suffixes(target, basis, lengths)
+    if ends[0] is None:
         return None
-    n, pos, out = len(target), 0, []
-    while pos < n:
-        for k in lengths:  # one matches before pos + k passes n, as pos is reachable
-            j = pos + k
-            if reach[j] and target[pos:j] in words:
-                break
-        out.append(target[pos:j])
-        pos = j
+    pos, out = 0, []
+    while pos < len(target):
+        out.append(target[pos : ends[pos]])
+        pos = ends[pos]
     return tuple(out)
 
 
 def is_in_monoid(w: Word, basis: Iterable[Word]) -> bool:
     """Membership of w in the monoid generated by basis (reachability check)."""
-    return reachable_suffixes(w.letters, {b.letters for b in basis if b.letters})[0]
+    return reachable_suffixes(w.letters, {b.letters for b in basis if b.letters})[0] is not None
 
 
 def letters_over(
     words: Iterable[Word], alphabet: Optional[Alphabet] = None
-) -> tuple[Optional[Alphabet], set[tuple[int, ...]]]:
+) -> tuple[Optional[Alphabet], dict[tuple[int, ...], Word]]:
     """The alphabet of all the words (the given one, else the first word's)
-    and their letter tuples; AlphabetMismatch when some word lies elsewhere."""
-    out = set()
+    and the first given Word for each of their letter tuples, keyed by that
+    tuple; AlphabetMismatch when some word lies elsewhere."""
+    out: dict[tuple[int, ...], Word] = {}
     for w in words:
         if alphabet is None:
             alphabet = w.alphabet
         elif w.alphabet is not alphabet and w.alphabet != alphabet:
             raise AlphabetMismatch(f"mixed alphabets: {alphabet.symbols} vs {w.alphabet.symbols}")
-        out.add(w.letters)
+        out.setdefault(w.letters, w)
     return alphabet, out

@@ -17,7 +17,8 @@ PairTable is a test double for relations that are not anticongruences.
 
 Former library functions that only tests called are kept here unchanged:
 factorizations (every factorization, the reference for
-least_factorization and brute_class_factorization), product (the
+least_factorization and brute_class_factorization, with a reachability
+pass of its own), product (the
 pairwise set product), class_closure, the lemma checks
 factorization_is_morphism and class_factor_stability, and
 align_equivalent_sides (side re-cutting for equivalent sides).
@@ -61,7 +62,7 @@ from wordeq import (
 )
 from wordeq.cli import HUMAN_TABLE_ROWS, JobConfig, parse_config
 from wordeq.equations import _class_symbols
-from wordeq.words import _join, _require_same_alphabet, reachable_suffixes
+from wordeq.words import _join, _require_same_alphabet
 
 
 # -- former library functions, unchanged
@@ -91,7 +92,11 @@ def factorizations(w: Word, basis: Iterable[Word]) -> list[tuple[Word, ...]]:
         raise ValueError("empty word not allowed in a factorization basis")
     target = w.letters
     n = len(target)
-    reach = reachable_suffixes(target, bs)
+    # reach[i]: target[i:] is a product of basis words, by its own backward
+    # pass, so this oracle shares no code with the routine it checks
+    reach = [False] * n + [True]
+    for i in range(n - 1, -1, -1):
+        reach[i] = any(reach[i + len(b)] and target[i : i + len(b)] == b for b in bs if i + len(b) <= n)
     # depth first on an explicit stack, the sorted basis in order at each
     # position; only reachable positions are entered, so every branch ends
     # in a result

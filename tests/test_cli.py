@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,25 @@ class TestParseConfig:
         code, out, err = run(["search", "--config", cfg, "--machine"])
         assert (code, out) == (EXIT_CONFIG, "")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("alphabet: a b\nequation: ^2 x = x\n", ":2: bad equation: missing unknown before '^' at column 0"),
+            ("alphabet: a b\nequation: x=y = z\n", ":2: bad equation: malformed token 'x=y' at column 0"),
+            ("alphabet: a b c\nrel: table: a~b~c\n", ":2: bad rel: bad table pair: 'a~b~c'"),
+            ("assign: x=a\n", ":1: assign needs an alphabet declared first"),
+            ("alphabet: a b\nassign: x=z\n", ":2: bad assign: symbol 'z' not in alphabet ('a', 'b')"),
+        ],
+        ids=["bare exponent", "equals in token", "table pair", "assign without alphabet", "assign off alphabet"],
+    )
+    def test_bad_line_is_config_error(self, tmp_path, text, message):
+        cfg = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            parse_config(cfg)
+        code, out, err = run(["check", "--config", cfg])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
 
     def test_non_ascii_exponent_is_config_error(self, tmp_path):
         # ² passes str.isdigit() but not int()

@@ -16,6 +16,7 @@ from wordeq import (
     DEFAULT_PRODUCT_LIMIT,
     Alphabet,
     BudgetExceeded,
+    CertificateRows,
     EqClass,
     FiniteTable,
     Identity,
@@ -267,6 +268,17 @@ def test_guard_trips_on_an_assignment_the_cuts_prune():
     assert outcome(enumerate_pseudo_solutions, e, rel, 2, limit=1) == expect
     images = {"x": EqClass.of(rel, ABC.word("a")), "y": EqClass.of(rel, ABC.word("ab"))}
     assert not check_pseudo_solution(e, PseudoSolution(rel, images)).valid
+
+
+def test_walk_stopped_by_the_guard_sets_up_no_stream(monkeypatch):
+    # the pseudo walk trips the guard before it walks, and the ordinary walk
+    # is not walked until then, so no vector's plan or stream is set up
+    def merge(*streams):
+        raise AssertionError("a walk merged its streams before the guard stopped it")
+
+    monkeypatch.setattr(equations.heapq, "merge", merge)
+    with pytest.raises(ProductLimitExceeded, match="^product of 2 x 2 words exceeds limit 3$"):
+        CertificateRows(parse_equation("x y z = z y x"), MorphicPermutation(AB, (1, 0)), 2, limit=3)
 
 
 def test_sweep_covers_every_shape():

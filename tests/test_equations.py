@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,15 @@ class TestParse:
         xy = Alphabet("xy")
         with pytest.raises(ValueError, match="^equation sides must be words over the unknowns alphabet$"):
             Equation(xy, xy.word("xy"), Alphabet("xyz").word("yx"))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("^2 x = x", "missing unknown before '^' at column 0"), ("x=y = z", "malformed token 'x=y' at column 0")],
+        ids=["bare_exponent", "equals_in_token"],
+    )
+    def test_malformed_token(self, text, message):
+        with pytest.raises(EquationSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_equation(text)
 
     @pytest.mark.parametrize("exponent", ["two", "²", "٣"], ids=["word", "superscript", "arabic_indic"])
     def test_bad_exponent(self, exponent):
@@ -493,7 +503,7 @@ def test_least_common_matches_set_intersection():
             langs.append(lang)
         for classes, lang in zip((side, other), langs):
             # the side product read in order is the sorted set product
-            assert [*_side_words(classes, lambda p: sum(p, ()))] == sorted(lang), classes
+            assert [*_side_words(classes)] == sorted(lang), classes
         common = langs[0] & langs[1]
         expect = min(common) if common else None
         assert _least_common(side, other) == expect, (side, other)

@@ -133,6 +133,14 @@ def test_tallies_read_before_the_rows_drain_them():
         report.machine_text()
 
 
+def test_search_data_is_a_mapping_of_head_and_tallies():
+    data = cli.cmd_search(job(parse_equation("x y = y x"), MorphicPermutation(AB, (1, 0)), 1)).data
+    assert len(data) == len(list(data)) == len(set(data))
+    assert {"pseudo_solutions", "pseudo_count", "descent_property"} <= set(data)
+    with pytest.raises(KeyError):
+        data["no_such_key"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_search_report_streams_in_bounded_memory():
     # built whole, the 14,563 rows of this report peaked at ~39.5 MB; streamed, ~27 MB

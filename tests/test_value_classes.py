@@ -123,3 +123,34 @@ def test_round_trips_are_equal(how):
     back = pickle.loads(pickle.dumps(verdict))
     assert (back.witness, back.factorization_a, back.factorization_b) == (
         verdict.witness, verdict.factorization_a, verdict.factorization_b)
+
+
+def text_and_order_cases():
+    """(label, computed, expected) for the text and order methods of the value classes."""
+    a, ab, b = AB.word("a"), AB.word("ab"), AB.word("b")
+    swap = MorphicPermutation(AB, (1, 0))
+    hull = pseudo_free_hull(Identity(ABC), [ABC.word("ab"), ABC.word("c")])
+    return [
+        ("Word[int]", ab[1], b),
+        ("Word <=", (a <= ab, ab <= ab, b <= ab), (True, True, False)),
+        ("Word repr", (repr(ab), repr(AB.word(""))), ("Word(ab)", "Word(ε)")),
+        ("FiniteLanguage str", str(FiniteLanguage.of(AB, [b, AB.word(""), ab])), "{ε, ab, b}"),
+        ("EqClass <", (EqClass(swap, b) < EqClass(swap, ab), EqClass(swap, ab) < EqClass(swap, b)),
+         (True, False)),
+        ("CodeVerdict bool", (bool(is_code([a, ab, AB.word("ba")])), bool(is_code([a, b]))), (False, True)),
+        ("ClassWord str", (str(class_factorization(hull, ABC.word("abcab"))), str(ClassWord(()))),
+         ("([ab], [c], [ab])", "()")),
+        ("AxiomViolation cut", str(AxiomViolation("cut", ab, AB.word("ba"), cut=1)),
+         "cut condition fails: ab ~ ba but pieces at cut 1 are not equivalent"),
+        ("AxiomViolation transitivity", str(AxiomViolation("transitivity", AB.word("aa"), AB.word("bb"), via=ab)),
+         "transitivity fails at (aa, ab, bb)"),
+        ("AxiomViolation plain", str(AxiomViolation("symmetry", a, b)), "symmetry fails at (a, b)"),
+    ]
+
+
+TEXT_AND_ORDER = text_and_order_cases()
+
+
+@pytest.mark.parametrize("got,expect", [c[1:] for c in TEXT_AND_ORDER], ids=[c[0] for c in TEXT_AND_ORDER])
+def test_text_and_order(got, expect):
+    assert got == expect
