@@ -363,18 +363,36 @@ def _hull_of(rel: Anticongruence, images: Sequence[Letters]) -> tuple[Letters, .
     return _hull(rel, members)
 
 
-def _descent(
-    e: Equation, rel: Anticongruence, images: Sequence[Letters]
-) -> tuple[tuple[Letters, ...], list[Letters], list[tuple[int, ...]]]:
-    """descend's letter work on the unknowns' images (representatives, in unknown order)
-    whose sides share a word: the hull basis, its class representatives and each image
-    as class indices. Every image factors: the basis generates its class members."""
-    basis = _hull_of(rel, images)
-    reps = class_reps(rel, basis)
+@functools.lru_cache(maxsize=256)
+def _hull_index(
+    rel: Anticongruence, basis: tuple[Letters, ...]
+) -> tuple[tuple[Letters, ...], dict[Letters, int], list[int], dict[Letters, tuple[int, ...]]]:
+    """A hull basis's class representatives, the class index of each basis word,
+    the basis word lengths, and an empty map that _descent fills with the
+    class-index word of each image it factors over the basis. Descents
+    repeat hulls and their images, so the last 256 hulls are kept."""
+    reps = tuple(class_reps(rel, basis))
     rep_index = {r: i for i, r in enumerate(reps)}
     class_index = {b: rep_index[rel.class_letters(b)[0]] for b in basis}
-    lengths = sorted({len(b) for b in basis})
-    out = [tuple(class_index[b] for b in least_factorization(w, class_index, lengths)) for w in images]
+    return reps, class_index, sorted({len(b) for b in basis}), {}
+
+
+def _descent(
+    e: Equation, rel: Anticongruence, images: Sequence[Letters]
+) -> tuple[tuple[Letters, ...], tuple[Letters, ...], list[tuple[int, ...]]]:
+    """descend's letter work on the unknowns' images (representatives, in unknown order)
+    whose sides share a word: the hull basis, its class representatives and each image
+    as class indices, the last two read from the hull's cached index (_hull_index).
+    Every image factors: the basis generates its class members. The sides and the
+    rank of the class-index words are checked on every call."""
+    basis = _hull_of(rel, images)
+    reps, class_index, lengths, factored = _hull_index(rel, basis)
+    out = []
+    for w in images:
+        found = factored.get(w)
+        if found is None:
+            found = factored[w] = tuple(class_index[b] for b in least_factorization(w, class_index, lengths))
+        out.append(found)
     if _join(map(out.__getitem__, e.lhs.letters)) != _join(map(out.__getitem__, e.rhs.letters)):
         raise DescentFailed(f"descended morphism does not solve {e}")
     r = len(_hull(_CLASS_INDEX_IDENTITY, {w for w in out if w}))
@@ -503,7 +521,10 @@ def enumerate_pseudo_solutions(
     the pieces of one class's members lie in one class. Each unknown's
     candidates are read from an index of the representatives of its length
     keyed by those piece classes, and every leaf is decided exactly by
-    _least_common. The walk keeps one iterator of untried candidates per
+    _least_common, unless every class has one member: then the piece
+    classes are the pieces, each segment's two pieces are equal once both
+    owners are assigned, and every leaf is a solution, so none is checked
+    again. The walk keeps one iterator of untried candidates per
     unknown on a stack, and the solutions of all vectors are merged in
     lexicographic order.
 
@@ -566,6 +587,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
         return _Walk(iter(()), words, PseudoSolution, None, None)
     n_reps = len(words)
     sizes = [len(m) for m in members]
+    exact = max(sizes) == 1  # the cuts alone decide each leaf (see the docstring)
     spans: dict[int, list[int]] = {}  # length -> its representatives, in order
     for i, w in enumerate(words):
         spans.setdefault(len(w), []).append(i)
@@ -671,7 +693,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
                 if d + 1 < n:  # on to the next unknown
                     untried.append(candidates(d + 1))
                     break
-                if _least_common([members[t[u]] for u in lhs], [members[t[u]] for u in rhs]) is not None:
+                if exact or _least_common([members[t[u]] for u in lhs], [members[t[u]] for u in rhs]) is not None:
                     yield at[n], tuple(t)
             else:  # unknown d is spent: back to the previous one
                 untried.pop()
@@ -749,7 +771,9 @@ class CertificateRows:
     then the pseudo walk's. A guard trip raises ProductLimitExceeded at
     once; a spent budget walks only to count what it would emit, then
     raises BudgetExceeded. Only then are the ordinary solutions ranked,
-    all before the first row, on the walk's letter tuples.
+    all before the first row, on the walk's letter tuples, until one
+    reaches the defect bound: n − 1 for n unknowns, n when the two sides
+    are one word. No solution ranks above it, so the rest are only counted.
     Every row has sides within limit that share a word, so it descends
     without that check or result objects (_descent), and a failure is
     recorded with the pseudo-rank read off the hull. The maxima are lower
@@ -785,7 +809,13 @@ class CertificateRows:
         walk = _unstopped(_walk(e, rel, max_len, budget, limit))
         if ordinary is not None:
             reps = ordinary.reps
+            # the defect bound: n distinct nonempty images of rank n form a
+            # code, which solves only an equation whose sides are one word
+            cap = len(e.unknowns) - (e.lhs != e.rhs)
             for t in ordinary.found:
+                if self.ordinary_witness is not None and self.max_ordinary_rank >= cap:
+                    self.ordinary_count += 1 + sum(1 for _ in ordinary.found)
+                    break
                 # solution_rank of the representatives, on their letter tuples
                 self._ordinary(ordinary, t, len(_hull(identity, {reps[i] for i in t} - {()})))
         self._rows = self._stream(e, rel, walk, reuse)
@@ -813,7 +843,7 @@ class CertificateRows:
                     pr = len(_descent(e, rel, images)[1])
                 except WordEqError as exc:
                     self.descent_failures.append(f"{psol!r}: {exc}")
-                    pr = len(class_reps(rel, _hull_of(rel, images)))
+                    pr = len(_hull_index(rel, _hull_of(rel, images))[0])
                 if reuse:
                     # under the identity each class is its representative, so
                     # the pseudo-rank is the rank of the representatives

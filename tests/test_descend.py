@@ -28,6 +28,7 @@ from wordeq import (
     PseudoSolution,
     RankCertificate,
     Reversal,
+    Solution,
     Word,
     WordEqError,
     bounded_rank_certificate,
@@ -35,8 +36,10 @@ from wordeq import (
     descend,
     enumerate_pseudo_solutions,
     parse_equation,
+    solution_rank,
 )
-from wordeq.equations import _cached_hull
+from wordeq import equations
+from wordeq.equations import _cached_hull, _hull_index
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -180,6 +183,62 @@ def test_certificate_ranks_nothing_before_its_stop(stop, error):
         CertificateRows(parse_equation("x y z = z y x"), swap, 2, **stop)
     info = _cached_hull.cache_info()
     assert (info.hits, info.misses) == (0, 0)
+
+
+# the defect bound: n - 1 for n unknowns, n when the two sides are one word
+CAPPED = [
+    ("x y = x y", MorphicPermutation.from_cycles(AB, "(a b)"), 2),
+    ("x y z = z y x", MorphicPermutation.from_cycles(ABC, "(a b c)"), 2),
+    ("x = x x", MorphicPermutation.from_cycles(AB, "(a b)"), 0),
+]
+
+
+@pytest.mark.parametrize("text,rel,cap", CAPPED, ids=[c[0] for c in CAPPED])
+def test_ordinary_ranks_stop_at_the_defect_bound(text, rel, cap, monkeypatch):
+    e = parse_equation(text)
+    expect = brute_certificate(e, rel, 3)
+    assert expect.max_ordinary_rank == cap  # the bound is reached, so the stop is taken
+    # the first ordinary solution to reach it, in enumeration order
+    ranks = [
+        solution_rank(Solution({x: c.rep for x, c in p.images.items()}))
+        for p in brute_pseudo_solutions(e, Identity(rel.alphabet), 3)
+    ]
+    first = ranks.index(cap)
+    # _hull is called once per ranked solution while the rows are built;
+    # the descents call it only when the rows are iterated
+    calls = []
+    hull = equations._hull
+    monkeypatch.setattr(equations, "_hull", lambda *a: calls.append(a) or hull(*a))
+    rows = CertificateRows(e, rel, 3)
+    assert len(calls) == first + 1 <= len(ranks)
+    assert (rows.ordinary_count, rows.max_ordinary_rank, rows.ordinary_witness) == (
+        expect.ordinary_count, cap, expect.ordinary_witness)
+    monkeypatch.undo()
+    assert_same_certificate(bounded_rank_certificate(e, rel, 3), expect)
+
+
+def test_hull_index_cache_bound_and_reps():
+    assert _hull_index.cache_info().maxsize == 256
+    swap = MorphicPermutation.from_cycles(AB, "(a b)")
+    _hull_index.cache_clear()
+    reps, class_index, lengths, factored = _hull_index(swap, ((0,), (1,)))
+    assert isinstance(reps, tuple)
+    # a~b: one class, which both letters index
+    assert (reps, class_index, lengths, factored) == (((0,),), {(0,): 0, (1,): 0}, [1], {})
+    # a descent over that basis keeps its images' class-index words there
+    descend(parse_equation("x y = y x"), psol(swap, x="a", y="ab"))
+    assert factored == {(0,): (0,), (0, 1): (0, 0)}
+
+
+@pytest.mark.parametrize("name,e,rel,max_len", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_cold_and_warm_hull_index_give_one_certificate(name, e, rel, max_len):
+    _hull_index.cache_clear()
+    cold = bounded_rank_certificate(e, rel, max_len)
+    assert _hull_index.cache_info().misses > 0 or not cold.pseudo_count
+    warm = bounded_rank_certificate(e, rel, max_len)
+    expect = brute_certificate(e, rel, max_len)
+    assert_same_certificate(cold, expect)
+    assert_same_certificate(warm, expect)
 
 
 class TestErrors:

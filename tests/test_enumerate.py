@@ -281,6 +281,16 @@ def test_walk_stopped_by_the_guard_sets_up_no_stream(monkeypatch):
         CertificateRows(parse_equation("x y z = z y x"), MorphicPermutation(AB, (1, 0)), 2, limit=3)
 
 
+@pytest.mark.parametrize("rel", [Identity(AB), FiniteTable(AB, [])], ids=["identity", "empty_table"])
+def test_one_member_classes_leave_no_leaf_to_check(rel, monkeypatch):
+    # when every class is one word, the cuts pin each segment's two pieces
+    # equal, so every leaf is a solution and the walk checks none of them
+    e = parse_equation("x y z = z y x")
+    expect = outcome(brute_pseudo_solutions, e, rel, 3)
+    monkeypatch.setattr(equations, "_least_common", None)
+    assert outcome(enumerate_pseudo_solutions, e, rel, 3) == expect
+
+
 def test_sweep_covers_every_shape():
     kinds = {rel.kind for _, _, rel, _ in INSTANCES}
     assert kinds == {"identity", "permutation", "table"}
