@@ -70,8 +70,9 @@ class Identity(Anticongruence):
 
     kind = "identity"
 
-    # equal alphabets give equal relations, for EqClass equality, the
-    # certificate's reuse test and hits in the hull cache in equations
+    # equal alphabets give equal relations, for EqClass equality and the
+    # certificate's reuse test; the hull caches in equations key an
+    # identity's hulls by letter tuples alone, so they do not read this
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Identity) and other.alphabet == self.alphabet
 

@@ -340,53 +340,73 @@ def _class_symbols(classes: Sequence[EqClass]) -> list[str]:
     return names
 
 
-# The one hull cache: descents and certificate ranks repeat hulls within a run
-# and across runs in one process; hull_letters itself computes fresh.
-_cached_hull = functools.lru_cache(maxsize=1 << 14)(hull_letters)
+class _Hulls(NamedTuple):
+    """One relation's hull cache, keyed by sorted letter tuples, and its
+    class-index cache (_class_index), keyed by hull bases."""
+
+    rel: Anticongruence
+    hull: Callable[[tuple[Letters, ...]], tuple[Letters, ...]]
+    index: Callable[[tuple[Letters, ...]], tuple]
 
 
-def _hull(rel: Anticongruence, words: set[Letters]) -> tuple[Letters, ...]:
+def _new_hulls(rel: Anticongruence) -> _Hulls:
+    # descents and certificate ranks repeat hulls and their indexes within a
+    # run, so the last 16,384 hulls and 256 indexes are kept
+    return _Hulls(
+        rel,
+        functools.lru_cache(maxsize=1 << 14)(functools.partial(hull_letters, rel)),
+        functools.lru_cache(maxsize=256)(functools.partial(_class_index, rel)),
+    )
+
+
+def _hulls(rel: Anticongruence) -> _Hulls:
+    """rel's hull caches: for an identity the process-wide pair, else a new
+    pair that goes with its caller, so no finished relation stays cached."""
+    return _IDENTITY_HULLS if isinstance(rel, Identity) else _new_hulls(rel)
+
+
+def _hull(hulls: _Hulls, words: set[Letters]) -> tuple[Letters, ...]:
     """The cached hull of words, keyed by their sorted tuple: a frozenset of a
     few words takes 216 bytes, the tuple about a third of that."""
-    return _cached_hull(rel, tuple(sorted(words)))
+    return hulls.hull(tuple(sorted(words)))
 
 
-# an identity's hull reads only letter tuples, so this one relation ranks the
-# class-index words of every descent, sharing their _cached_hull entries
-_CLASS_INDEX_IDENTITY = Identity(Alphabet(("[·]",)))
-
-
-def _hull_of(rel: Anticongruence, images: Sequence[Letters]) -> tuple[Letters, ...]:
+def _hull_of(hulls: _Hulls, images: Sequence[Letters]) -> tuple[Letters, ...]:
     """The cached hull of the class members of images."""
-    members = {m for w in images for m in rel.class_letters(w)}
+    class_letters = hulls.rel.class_letters
+    members = {m for w in images for m in class_letters(w)}
     members.discard(())
-    return _hull(rel, members)
+    return _hull(hulls, members)
 
 
-@functools.lru_cache(maxsize=256)
-def _hull_index(
+def _class_index(
     rel: Anticongruence, basis: tuple[Letters, ...]
 ) -> tuple[tuple[Letters, ...], dict[Letters, int], list[int], dict[Letters, tuple[int, ...]]]:
     """A hull basis's class representatives, the class index of each basis word,
     the basis word lengths, and an empty map that _descent fills with the
-    class-index word of each image it factors over the basis. Descents
-    repeat hulls and their images, so the last 256 hulls are kept."""
+    class-index word of each image it factors over the basis."""
     reps = tuple(class_reps(rel, basis))
     rep_index = {r: i for i, r in enumerate(reps)}
     class_index = {b: rep_index[rel.class_letters(b)[0]] for b in basis}
     return reps, class_index, sorted({len(b) for b in basis}), {}
 
 
+# An identity's hull reads only letter tuples, so one pair of caches, keyed by
+# them alone, serves the identity over every alphabet: the ordinary ranks, the
+# class-index ranks and the descents under an identity hit it across runs.
+_IDENTITY_HULLS = _new_hulls(Identity(Alphabet(("[·]",))))
+
+
 def _descent(
-    e: Equation, rel: Anticongruence, images: Sequence[Letters]
+    e: Equation, hulls: _Hulls, images: Sequence[Letters]
 ) -> tuple[tuple[Letters, ...], tuple[Letters, ...], list[tuple[int, ...]]]:
     """descend's letter work on the unknowns' images (representatives, in unknown order)
-    whose sides share a word: the hull basis, its class representatives and each image
-    as class indices, the last two read from the hull's cached index (_hull_index).
+    whose sides share a word, under hulls.rel: the hull basis, its class representatives
+    and each image as class indices, the last two read from the hull's cached index.
     Every image factors: the basis generates its class members. The sides and the
     rank of the class-index words are checked on every call."""
-    basis = _hull_of(rel, images)
-    reps, class_index, lengths, factored = _hull_index(rel, basis)
+    basis = _hull_of(hulls, images)
+    reps, class_index, lengths, factored = hulls.index(basis)
     out = []
     for w in images:
         found = factored.get(w)
@@ -395,7 +415,7 @@ def _descent(
         out.append(found)
     if _join(map(out.__getitem__, e.lhs.letters)) != _join(map(out.__getitem__, e.rhs.letters)):
         raise DescentFailed(f"descended morphism does not solve {e}")
-    r = len(_hull(_CLASS_INDEX_IDENTITY, {w for w in out if w}))
+    r = len(_hull(_IDENTITY_HULLS, {w for w in out if w}))
     if r != len(reps):
         raise DescentFailed(f"descended rank {r} differs from pseudo-rank {len(reps)}")
     return basis, reps, out
@@ -422,7 +442,7 @@ def descend(
     for name in syms:  # one on neither side escapes check_pseudo_solution
         if name not in psol.images:
             raise MissingImage(f"no image for unknown {name}")
-    basis, reps, images = _descent(e, psol.rel, [psol.images[x].rep.letters for x in syms])
+    basis, reps, images = _descent(e, _hulls(psol.rel), [psol.images[x].rep.letters for x in syms])
     hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
@@ -469,8 +489,9 @@ def _cut_plans(lhs: Letters, rhs: Letters, domains: tuple[tuple[int, ...], ...])
     cuts hold the pairs of its own windows that lie under one segment, and
     a (window, earlier unknown, its window) for each segment it shares with
     an earlier unknown. Cached because both phases of a certificate without
-    a budget walk the same vectors; a budget gives each phase its own
-    domains, so budgeted phases may not share an entry.
+    a budget walk the same vectors, and runs repeat small plans; a budget
+    gives each phase its own domains, so budgeted phases may not share an
+    entry. _plans keeps the large lists out of the cache.
     """
     n = len(domains)
     out = []
@@ -499,6 +520,22 @@ def _cut_plans(lhs: Letters, rhs: Letters, domains: tuple[tuple[int, ...], ...])
             a = b
         out.append((vec, tuple((tuple(own), tuple(shared)) for own, shared in cuts)))
     return tuple(out)
+
+
+_CACHED_PLANS = 1 << 10  # most vectors a plan list may hold to enter _cut_plans's cache
+
+
+def _plans(lhs: Letters, rhs: Letters, domains: tuple[tuple[int, ...], ...], own: dict) -> tuple:
+    """_cut_plans of domains. A list that may hold more than _CACHED_PLANS
+    vectors is kept in own, keyed by domains, instead of the process-wide
+    cache: the two walks of one certificate still build it once, and it
+    goes with their search."""
+    if math.prod(map(len, domains)) <= _CACHED_PLANS:
+        return _cut_plans(lhs, rhs, domains)
+    found = own.get(domains)
+    if found is None:
+        found = own[domains] = _cut_plans.__wrapped__(lhs, rhs, domains)
+    return found
 
 
 def enumerate_pseudo_solutions(
@@ -542,7 +579,7 @@ def enumerate_pseudo_solutions(
     representative is built.
     """
     _require_limit(limit)
-    walk = _walk(e, rel, max_len, budget, limit)
+    walk = _walk(e, rel, max_len, budget, limit, {})
     emitted = 0
     for found in walk.found:
         emitted += 1
@@ -577,8 +614,11 @@ def _unstopped(walk: _Walk) -> _Walk:
     return walk
 
 
-def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int], limit: int) -> _Walk:
-    """enumerate_pseudo_solutions's set-up and walk, for a limit of at least 1."""
+def _walk(
+    e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int], limit: int, plans: dict
+) -> _Walk:
+    """enumerate_pseudo_solutions's set-up and walk, for a limit of at least 1;
+    plans keeps the plan lists too large for _cut_plans's cache (_plans)."""
     names = e.unknowns.symbols
     n = len(names)
     lhs, rhs = e.lhs.letters, e.rhs.letters
@@ -700,7 +740,7 @@ def _walk(e: Equation, rel: Anticongruence, max_len: int, budget: Optional[int],
 
     # every assignment giving u length k is numbered at least spans[k][0] * weights[u]
     domains = tuple(tuple(k for k in sorted(spans) if spans[k][0] * weights[u] < bound) for u in range(n))
-    vectors = _cut_plans(lhs, rhs, domains)
+    vectors = _plans(lhs, rhs, domains, plans)
     first = min((found for vec, _ in vectors if guarded and (found := trip(vec))), default=None)
     stop = bound if first is None else min(first[0], bound)
 
@@ -805,8 +845,9 @@ class CertificateRows:
         # under the identity the pseudo phase would repeat the ordinary walk, and
         # an identity walk stops only for a spent budget: its classes have one member
         reuse = rel == identity
-        ordinary = None if reuse else _unstopped(_walk(e, identity, max_len, budget, limit))
-        walk = _unstopped(_walk(e, rel, max_len, budget, limit))
+        plans: dict = {}  # the plan lists too large for _cut_plans's cache, shared by both walks
+        ordinary = None if reuse else _unstopped(_walk(e, identity, max_len, budget, limit, plans))
+        walk = _unstopped(_walk(e, rel, max_len, budget, limit, plans))
         if ordinary is not None:
             reps = ordinary.reps
             # the defect bound: n distinct nonempty images of rank n form a
@@ -817,8 +858,9 @@ class CertificateRows:
                     self.ordinary_count += 1 + sum(1 for _ in ordinary.found)
                     break
                 # solution_rank of the representatives, on their letter tuples
-                self._ordinary(ordinary, t, len(_hull(identity, {reps[i] for i in t} - {()})))
-        self._rows = self._stream(e, rel, walk, reuse)
+                self._ordinary(ordinary, t, len(_hull(_IDENTITY_HULLS, {reps[i] for i in t} - {()})))
+        # the hulls under rel go with the rows; identity hulls are shared
+        self._rows = self._stream(e, _hulls(rel), walk, reuse)
 
     def __iter__(self) -> Iterator[tuple[PseudoSolution, int]]:
         return self._rows
@@ -830,7 +872,7 @@ class CertificateRows:
             self.ordinary_witness = Solution({x: c.rep for x, c in walk.solution(t).images.items()})
 
     def _stream(
-        self, e: Equation, rel: Anticongruence, walk: _Walk, reuse: bool
+        self, e: Equation, hulls: _Hulls, walk: _Walk, reuse: bool
     ) -> Iterator[tuple[PseudoSolution, int]]:
         # the walk runs ahead by up to _WALK_AHEAD solutions, which are then
         # descended in turn: a walk step between every two descents is slower
@@ -840,10 +882,10 @@ class CertificateRows:
                 images = [walk.reps[i] for i in t]
                 try:
                     # _descent raises DescentFailed when the two ranks differ
-                    pr = len(_descent(e, rel, images)[1])
+                    pr = len(_descent(e, hulls, images)[1])
                 except WordEqError as exc:
                     self.descent_failures.append(f"{psol!r}: {exc}")
-                    pr = len(_hull_index(rel, _hull_of(rel, images))[0])
+                    pr = len(hulls.index(_hull_of(hulls, images))[0])
                 if reuse:
                     # under the identity each class is its representative, so
                     # the pseudo-rank is the rank of the representatives

@@ -78,7 +78,7 @@ def is_code(words: Iterable[Word]) -> CodeVerdict:
     alphabet, letters = letters_over(words)
     if () in letters:
         raise ValueError("the empty word is not allowed here")
-    found = _is_code_cached(frozenset(letters))
+    found = _is_code_cached(tuple(sorted(letters)))
     if found is None:
         return CodeVerdict(True)
     witness, *factorizations = found
@@ -87,13 +87,14 @@ def is_code(words: Iterable[Word]) -> CodeVerdict:
 
 
 # hits come from recent hulls, so 4,096 entries keep nearly all of them;
-# a larger cache mostly holds frozensets that are never asked again
+# a larger cache mostly holds word sets that are never asked again
 @lru_cache(maxsize=1 << 12)
-def _is_code_cached(words: frozenset[Letters]) -> Optional[tuple[Letters, tuple, tuple]]:
-    """None for a code, else the witness and its two factor sequences, as letter tuples."""
-    bs = sorted(words)
+def _is_code_cached(bs: tuple[Letters, ...]) -> Optional[tuple[Letters, tuple, tuple]]:
+    """None for a code, else the witness and its two factor sequences, as letter
+    tuples. The words come as their sorted tuple, about a third of a frozenset's size."""
     if len(bs) <= 1:
         return None
+    words = set(bs)
 
     # Dijkstra over dangling suffixes. A state is the overhang by which one
     # factorization runs ahead of the other; the priority (length, prefix)
@@ -173,7 +174,7 @@ def hull_letters(rel: Anticongruence, words: Collection[Letters]) -> tuple[Lette
     while True:
         forced = {m for w in forced for m in rel.class_letters(w)}
         basis = _minimal_letters(forced)
-        found = _is_code_cached(frozenset(basis))
+        found = _is_code_cached(tuple(basis))
         if found is None:
             break
         a, b = found[1][0], found[2][0]

@@ -6,6 +6,8 @@ objects, and bounded_rank_certificate must equal brute_certificate on
 every field, descent failures included.
 """
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from wordeq import (
     DescentFailed,
     EqClass,
     Equation,
+    FiniteTable,
     Identity,
     InvalidPseudoSolution,
     MissingImage,
@@ -39,7 +42,6 @@ from wordeq import (
     solution_rank,
 )
 from wordeq import equations
-from wordeq.equations import _cached_hull, _hull_index
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -150,6 +152,58 @@ def psol(rel, **reps):
     return PseudoSolution(rel, {x: EqClass.of(rel, rel.alphabet.word(w)) for x, w in reps.items()})
 
 
+def clear_identity_hulls():
+    equations._IDENTITY_HULLS.hull.cache_clear()
+    equations._IDENTITY_HULLS.index.cache_clear()
+
+
+def spy_hulls(monkeypatch):
+    """The list of the hull caches that equations._hulls hands out from now on."""
+    made = []
+    hulls = equations._hulls
+    monkeypatch.setattr(equations, "_hulls", lambda rel: made.append(hulls(rel)) or made[-1])
+    return made
+
+
+RELATIONS = {
+    "permutation": lambda: MorphicPermutation.from_cycles(ABC, "(a b c)"),
+    "table": lambda: FiniteTable(ABC, [((0,), (1,))]),
+}
+# each run drops what it returns; x = a, y = b, z = ab share abab under both relations
+RUNS = {
+    "bounded_rank_certificate": lambda e, rel: bounded_rank_certificate(e, rel, 3).pseudo_count,
+    "CertificateRows": lambda e, rel: sum(1 for _ in CertificateRows(e, rel, 3)),
+    "descend": lambda e, rel: descend(e, psol(rel, x="a", y="b", z="ab")).pseudo_rank(),
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("kind", RELATIONS)
+def test_no_cache_keeps_a_dropped_relation(kind, run):
+    # hulls under a relation other than the identity are cached with their
+    # certificate or descent, so nothing holds the relation once both are gone
+    rel = RELATIONS[kind]()
+    assert RUNS[run](parse_equation("x y z = z y x"), rel) > 0
+    ref = weakref.ref(rel)
+    del rel
+    gc.collect()
+    assert ref() is None
+
+
+def test_identity_hulls_are_shared_across_alphabets():
+    # the ordinary ranks of x y = y x stop at its defect bound 1: the hulls of
+    # {} and {a}, which a later certificate over another alphabet finds cached
+    e = parse_equation("x y = y x")
+    hull = equations._IDENTITY_HULLS.hull
+    hull.cache_clear()
+    CertificateRows(e, MorphicPermutation.from_cycles(AB, "(a b)"), 2)
+    taken = hull.cache_info()
+    assert (taken.hits, taken.misses) == (0, 2)
+    CertificateRows(e, MorphicPermutation.from_cycles(ABC, "(a b c)"), 2)
+    again = hull.cache_info()
+    assert (again.hits, again.misses) == (2, 2)
+
+
 @pytest.mark.parametrize("limit", [0, -1])
 def test_limit_below_one_refused_like_the_oracle(limit):
     # even a side of single words is over such a limit; every entry point
@@ -175,14 +229,18 @@ def test_limit_below_one_refused_like_the_oracle(limit):
     [({"budget": 20}, BudgetExceeded), ({"limit": 3}, ProductLimitExceeded)],
     ids=["budget", "guard"],
 )
-def test_certificate_ranks_nothing_before_its_stop(stop, error):
-    # both walks' stops are raised before any solution is ranked or descended
-    _cached_hull.cache_clear()
+def test_certificate_ranks_nothing_before_its_stop(stop, error, monkeypatch):
+    # both walks' stops are raised before any solution is ranked or descended:
+    # neither the shared identity caches nor any cache of the certificate is asked
+    clear_identity_hulls()
+    made = spy_hulls(monkeypatch)
     swap = MorphicPermutation.from_cycles(AB, "(a b)")
     with pytest.raises(error):
         CertificateRows(parse_equation("x y z = z y x"), swap, 2, **stop)
-    info = _cached_hull.cache_info()
-    assert (info.hits, info.misses) == (0, 0)
+    for hulls in [equations._IDENTITY_HULLS, *made]:
+        for cache in hulls.hull, hulls.index:
+            info = cache.cache_info()
+            assert (info.hits, info.misses) == (0, 0)
 
 
 # the defect bound: n - 1 for n unknowns, n when the two sides are one word
@@ -218,23 +276,28 @@ def test_ordinary_ranks_stop_at_the_defect_bound(text, rel, cap, monkeypatch):
 
 
 def test_hull_index_cache_bound_and_reps():
-    assert _hull_index.cache_info().maxsize == 256
     swap = MorphicPermutation.from_cycles(AB, "(a b)")
-    _hull_index.cache_clear()
-    reps, class_index, lengths, factored = _hull_index(swap, ((0,), (1,)))
+    hulls = equations._hulls(swap)
+    assert hulls.index.cache_info().maxsize == 256
+    assert hulls.hull.cache_info().maxsize == 1 << 14
+    reps, class_index, lengths, factored = hulls.index(((0,), (1,)))
     assert isinstance(reps, tuple)
     # a~b: one class, which both letters index
     assert (reps, class_index, lengths, factored) == (((0,),), {(0,): 0, (1,): 0}, [1], {})
-    # a descent over that basis keeps its images' class-index words there
-    descend(parse_equation("x y = y x"), psol(swap, x="a", y="ab"))
+    # a descent over that basis keeps its images' class-index words there:
+    # x = [a], y = [ab] = {ab, ba}, whose members' hull is {a, b}
+    equations._descent(parse_equation("x y = y x"), hulls, [(0,), (0, 1)])
     assert factored == {(0,): (0,), (0, 1): (0, 0)}
 
 
 @pytest.mark.parametrize("name,e,rel,max_len", INSTANCES, ids=[i[0] for i in INSTANCES])
-def test_cold_and_warm_hull_index_give_one_certificate(name, e, rel, max_len):
-    _hull_index.cache_clear()
+def test_cold_and_warm_hull_index_give_one_certificate(name, e, rel, max_len, monkeypatch):
+    # each certificate's own index cache starts cold; the shared identity
+    # caches are cold for the first certificate and warm for the second
+    clear_identity_hulls()
+    made = spy_hulls(monkeypatch)
     cold = bounded_rank_certificate(e, rel, max_len)
-    assert _hull_index.cache_info().misses > 0 or not cold.pseudo_count
+    assert made[0].index.cache_info().misses > 0 or not cold.pseudo_count
     warm = bounded_rank_certificate(e, rel, max_len)
     expect = brute_certificate(e, rel, max_len)
     assert_same_certificate(cold, expect)

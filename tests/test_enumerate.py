@@ -4,6 +4,7 @@ For every instance both enumerators must emit the same pseudo-solutions
 in the same order, stop on the same budget with the same progress counts,
 and trip the product guard at the same limit after the same emissions.
 """
+import functools
 import itertools
 import math
 import random
@@ -279,6 +280,27 @@ def test_walk_stopped_by_the_guard_sets_up_no_stream(monkeypatch):
     monkeypatch.setattr(equations.heapq, "merge", merge)
     with pytest.raises(ProductLimitExceeded, match="^product of 2 x 2 words exceeds limit 3$"):
         CertificateRows(parse_equation("x y z = z y x"), MorphicPermutation(AB, (1, 0)), 2, limit=3)
+
+
+def test_large_plan_lists_go_with_their_search(monkeypatch):
+    # the 4^6 length vectors of a six-unknown palindrome up to length 3 pass
+    # _CACHED_PLANS: both walks of the certificate share one listing, and no
+    # plan list stays cached once the guard has stopped the search
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return cut_plans.__wrapped__(*args)
+
+    cut_plans = equations._cut_plans
+    monkeypatch.setattr(equations, "_cut_plans", functools.lru_cache(maxsize=256)(build))
+    xs = [f"x{i}" for i in range(6)]
+    e = parse_equation(" ".join(xs) + " = " + " ".join(reversed(xs)))
+    assert 4 ** len(xs) > equations._CACHED_PLANS
+    with pytest.raises(ProductLimitExceeded):
+        CertificateRows(e, MorphicPermutation(AB, (1, 0)), 3, limit=3)
+    assert len(built) == 1
+    assert equations._cut_plans.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("rel", [Identity(AB), FiniteTable(AB, [])], ids=["identity", "empty_table"])
