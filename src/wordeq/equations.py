@@ -331,7 +331,7 @@ def _class_symbols(classes: Sequence[EqClass]) -> list[str]:
     names = []
     for c in classes:
         syms = c.rep.alphabet.symbols
-        sep = "" if all(len(s) == 1 for s in syms) else "·"
+        sep = "·" if c.rep.alphabet.sep else ""
         names.append("[" + sep.join(syms[i] for i in c.rep.letters) + "]")
     if len(set(names)) < len(names):
         # multi-character symbols can join to the same name, as a, b·c and a·b, c
@@ -371,14 +371,6 @@ def _hull(hulls: _Hulls, words: set[Letters]) -> tuple[Letters, ...]:
     return hulls.hull(tuple(sorted(words)))
 
 
-def _hull_of(hulls: _Hulls, images: Sequence[Letters]) -> tuple[Letters, ...]:
-    """The cached hull of the class members of images."""
-    class_letters = hulls.rel.class_letters
-    members = {m for w in images for m in class_letters(w)}
-    members.discard(())
-    return _hull(hulls, members)
-
-
 def _class_index(
     rel: Anticongruence, basis: tuple[Letters, ...]
 ) -> tuple[tuple[Letters, ...], dict[Letters, int], list[int], dict[Letters, tuple[int, ...]]]:
@@ -399,13 +391,16 @@ _IDENTITY_HULLS = _new_hulls(Identity(Alphabet(("[·]",))))
 
 def _descent(
     e: Equation, hulls: _Hulls, images: Sequence[Letters]
-) -> tuple[tuple[Letters, ...], tuple[Letters, ...], list[tuple[int, ...]]]:
+) -> tuple[tuple[Letters, ...], tuple[Letters, ...], list[tuple[int, ...]], Optional[str]]:
     """descend's letter work on the unknowns' images (representatives, in unknown order)
     whose sides share a word, under hulls.rel: the hull basis, its class representatives
-    and each image as class indices, the last two read from the hull's cached index.
-    Every image factors: the basis generates its class members. The sides and the
-    rank of the class-index words are checked on every call."""
-    basis = _hull_of(hulls, images)
+    and each image as class indices, the last two read from the hull's cached index,
+    and the failure: None, or why the class-index words do not solve e or their rank
+    is not the pseudo-rank. Every image factors: the basis generates its class members.
+    A hull that cannot be class-closed raises NotClassClosed."""
+    members = {m for w in images for m in hulls.rel.class_letters(w)}
+    members.discard(())
+    basis = _hull(hulls, members)
     reps, class_index, lengths, factored = hulls.index(basis)
     out = []
     for w in images:
@@ -414,11 +409,10 @@ def _descent(
             found = factored[w] = tuple(class_index[b] for b in least_factorization(w, class_index, lengths))
         out.append(found)
     if _join(map(out.__getitem__, e.lhs.letters)) != _join(map(out.__getitem__, e.rhs.letters)):
-        raise DescentFailed(f"descended morphism does not solve {e}")
+        return basis, reps, out, f"descended morphism does not solve {e}"
     r = len(_hull(_IDENTITY_HULLS, {w for w in out if w}))
-    if r != len(reps):
-        raise DescentFailed(f"descended rank {r} differs from pseudo-rank {len(reps)}")
-    return basis, reps, out
+    failure = None if r == len(reps) else f"descended rank {r} differs from pseudo-rank {len(reps)}"
+    return basis, reps, out, failure
 
 
 def descend(
@@ -442,7 +436,9 @@ def descend(
     for name in syms:  # one on neither side escapes check_pseudo_solution
         if name not in psol.images:
             raise MissingImage(f"no image for unknown {name}")
-    basis, reps, images = _descent(e, _hulls(psol.rel), [psol.images[x].rep.letters for x in syms])
+    basis, reps, images, failure = _descent(e, _hulls(psol.rel), [psol.images[x].rep.letters for x in syms])
+    if failure is not None:
+        raise DescentFailed(failure)
     hull = PseudoFreeBasis.of_letters(psol.rel, basis, reps)
     if hull.classes:
         class_alphabet = Alphabet(_class_symbols(hull.classes))
@@ -638,9 +634,6 @@ def _walk(
     counts = [(lhs.count(u), rhs.count(u)) for u in range(n)]
     guarded = max(top.values()) ** max(len(lhs), len(rhs)) > limit
     piece_rows: dict[Window, list] = {}
-    indexes: dict[tuple[int, Window], dict[Letters, list[int]]] = {}
-    steps: dict[tuple, tuple] = {}
-    classes: list[Optional[EqClass]] = [None] * n_reps
 
     def piece_classes(x: int, w: Window) -> tuple[Letters, ...]:
         # the classes (least members) of the pieces at w of the members of x's class
@@ -653,29 +646,25 @@ def _walk(
             found = row[x] = tuple({rel.class_letters(m[a:b])[0] for m in members[x]})
         return found
 
+    @functools.cache
     def index(length: int, w: Window) -> dict[Letters, list[int]]:
         # the representatives of length, in order, under each class of their pieces at w
-        found = indexes.get((length, w))
-        if found is None:
-            found = indexes[length, w] = {}
-            for x in spans[length]:
-                for k in piece_classes(x, w):
-                    found.setdefault(k, []).append(x)
+        found: dict[Letters, list[int]] = {}
+        for x in spans[length]:
+            for k in piece_classes(x, w):
+                found.setdefault(k, []).append(x)
         return found
 
+    @functools.cache
     def step(length: int, own: tuple, shared: tuple) -> tuple:
         # an unknown's representatives, the set of those whose own windows
         # meet (None when it has none) and its (index, earlier unknown, window)
-        key = (length, own, shared)
-        found = steps.get(key)
-        if found is None:
-            span = spans[length]
-            fit = None
-            if own:
-                fit = {x for x in span if all(
-                    set(piece_classes(x, w1)).intersection(piece_classes(x, w2)) for w1, w2 in own)}
-            found = steps[key] = (span, fit, [(index(length, w), u, wu) for w, u, wu in shared])
-        return found
+        span = spans[length]
+        fit = None
+        if own:
+            fit = {x for x in span if all(
+                set(piece_classes(x, w1)).intersection(piece_classes(x, w2)) for w1, w2 in own)}
+        return span, fit, [(index(length, w), u, wu) for w, u, wu in shared]
 
     def trip(vec: tuple[int, ...]) -> Optional[tuple[int, list[int]]]:
         # the number and indices of the first assignment of lengths vec with a
@@ -751,14 +740,12 @@ def _walk(
         for _, t in heapq.merge(*streams):
             yield t
 
+    @functools.cache
+    def eq_class(i: int) -> EqClass:
+        return EqClass(rel, Word(rel.alphabet, words[i]))
+
     def solution(found: tuple[int, ...]) -> PseudoSolution:
-        images = {}
-        for name, i in zip(names, found):
-            c = classes[i]
-            if c is None:
-                c = classes[i] = EqClass(rel, Word(rel.alphabet, words[i]))
-            images[name] = c
-        return PseudoSolution(rel, images)
+        return PseudoSolution(rel, {name: eq_class(i) for name, i in zip(names, found)})
 
     tripped = spent = None
     if stop < bound:
@@ -815,8 +802,9 @@ class CertificateRows:
     reaches the defect bound: n − 1 for n unknowns, n when the two sides
     are one word. No solution ranks above it, so the rest are only counted.
     Every row has sides within limit that share a word, so it descends
-    without that check or result objects (_descent), and a failure is
-    recorded with the pseudo-rank read off the hull. The maxima are lower
+    without that check or result objects (_descent): a failure is recorded
+    with the pseudo-rank, and a hull that cannot be class-closed raises
+    NotClassClosed, as descend does. The maxima are lower
     bounds of the true ranks; the witnesses are the first solutions
     attaining them in enumeration order. The tallies are final once the
     rows have ended. A limit below 1 raises ValueError.
@@ -879,13 +867,10 @@ class CertificateRows:
         for ahead in iter(lambda: [*itertools.islice(walk.found, _WALK_AHEAD)], []):
             for t in ahead:
                 psol = walk.solution(t)
-                images = [walk.reps[i] for i in t]
-                try:
-                    # _descent raises DescentFailed when the two ranks differ
-                    pr = len(_descent(e, hulls, images)[1])
-                except WordEqError as exc:
-                    self.descent_failures.append(f"{psol!r}: {exc}")
-                    pr = len(hulls.index(_hull_of(hulls, images))[0])
+                _, reps, _, failure = _descent(e, hulls, [walk.reps[i] for i in t])
+                if failure is not None:
+                    self.descent_failures.append(f"{psol!r}: {failure}")
+                pr = len(reps)
                 if reuse:
                     # under the identity each class is its representative, so
                     # the pseudo-rank is the rank of the representatives

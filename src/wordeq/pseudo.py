@@ -116,8 +116,11 @@ def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
     """The unique class sequence whose product contains w.
 
     Factorizes w over the basis (unique, the basis is a code) and maps each
-    factor to its class in pfb.classes. Raises NotInMonoid outside the monoid.
+    factor to its class in pfb.classes. Raises AlphabetMismatch for a word over
+    another alphabet, ε included, then NotInMonoid outside the monoid.
     """
+    rel = pfb.rel
+    rel._check(w)
     if not w.letters:
         return ClassWord(())
     basis = {b.letters for b in pfb.basis_words}
@@ -126,8 +129,6 @@ def class_factorization(pfb: PseudoFreeBasis, w: Word) -> ClassWord:
     factors = least_factorization(w.letters, basis)
     if factors is None:
         raise NotInMonoid(f"{w} is not in the monoid of {pfb.basis_words}")
-    rel = pfb.rel
-    rel._check(w)
     by_rep = {c.rep.letters: c for c in pfb.classes if c.rel == rel}
     out = []
     for b in factors:

@@ -72,7 +72,7 @@ class Alphabet:
         single character, otherwise on whitespace.
         """
         if isinstance(text, str):
-            if all(len(s) == 1 for s in self.symbols):
+            if not self.sep:
                 parts: Sequence[str] = [c for c in text if not c.isspace()]
             else:
                 parts = text.split()

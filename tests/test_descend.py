@@ -174,6 +174,7 @@ RUNS = {
     "bounded_rank_certificate": lambda e, rel: bounded_rank_certificate(e, rel, 3).pseudo_count,
     "CertificateRows": lambda e, rel: sum(1 for _ in CertificateRows(e, rel, 3)),
     "descend": lambda e, rel: descend(e, psol(rel, x="a", y="b", z="ab")).pseudo_rank(),
+    "enumerate_pseudo_solutions": lambda e, rel: sum(1 for _ in enumerate_pseudo_solutions(e, rel, 3)),
 }
 
 
@@ -181,13 +182,27 @@ RUNS = {
 @pytest.mark.parametrize("kind", RELATIONS)
 def test_no_cache_keeps_a_dropped_relation(kind, run):
     # hulls under a relation other than the identity are cached with their
-    # certificate or descent, so nothing holds the relation once both are gone
+    # certificate or descent, and a walk's memos with the walk, so nothing
+    # holds the relation once they are gone
     rel = RELATIONS[kind]()
     assert RUNS[run](parse_equation("x y z = z y x"), rel) > 0
     ref = weakref.ref(rel)
     del rel
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("run", ["bounded_rank_certificate", "CertificateRows"])
+def test_hull_that_cannot_close_is_built_once(run, monkeypatch):
+    # the descent's NotClassClosed ends the certificate as raised: the hull
+    # is not built a second time, nor a second error chained to the first
+    calls = []
+    hull_letters = equations.hull_letters
+    monkeypatch.setattr(equations, "hull_letters", lambda rel, words: calls.append(words) or hull_letters(rel, words))
+    with pytest.raises(NotClassClosed) as exc:
+        RUNS[run](parse_equation("x y = y x"), PairTable(AB, [((0, 0), (1, 1))]))
+    assert exc.value.__context__ is None
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_identity_hulls_are_shared_across_alphabets():
@@ -285,9 +300,15 @@ def test_hull_index_cache_bound_and_reps():
     # a~b: one class, which both letters index
     assert (reps, class_index, lengths, factored) == (((0,),), {(0,): 0, (1,): 0}, [1], {})
     # a descent over that basis keeps its images' class-index words there:
-    # x = [a], y = [ab] = {ab, ba}, whose members' hull is {a, b}
-    equations._descent(parse_equation("x y = y x"), hulls, [(0,), (0, 1)])
+    # x = [a], y = [ab] = {ab, ba}, whose members' hull is {a, b}; it solves
+    # x y = y x with rank 1, so no failure is returned
+    descent = equations._descent(parse_equation("x y = y x"), hulls, [(0,), (0, 1)])
+    assert descent == (((0,), (1,)), ((0,),), [(0,), (0, 0)], None)
     assert factored == {(0,): (0,), (0, 1): (0, 0)}
+    # x = [a], y = [ab] = {ab} under ab~ba without a~b: the images descend
+    # to a and ab over the hull {a, b}, which do not commute
+    failed = equations._descent(parse_equation("x y = y x"), equations._hulls(NOT_CUT_CLOSED), [(0,), (0, 1)])
+    assert failed[3] == "descended morphism does not solve x y = y x"
 
 
 @pytest.mark.parametrize("name,e,rel,max_len", INSTANCES, ids=[i[0] for i in INSTANCES])

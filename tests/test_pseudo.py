@@ -281,14 +281,21 @@ class TestClassFactorization:
 
     def test_error_order(self):
         rel = swap_ab()
+        bad = PseudoFreeBasis(rel, Basis((AB.word(""), AB.word("a"))), ())
         with pytest.raises(ValueError, match="empty word"):
-            class_factorization(PseudoFreeBasis(rel, Basis((AB.word(""), AB.word("a"))), ()), AB.word("b"))
-        hull = pseudo_free_hull(rel, [AB.word("ab")])
-        with pytest.raises(NotInMonoid):
-            class_factorization(hull, ABC.word("c"))
+            class_factorization(bad, AB.word("b"))
+        # the word's alphabet is checked before the basis
         with pytest.raises(AlphabetMismatch):
-            class_factorization(hull, ABC.word("ba"))
-        assert len(class_factorization(hull, ABC.word(""))) == 0
+            class_factorization(bad, ABC.word("b"))
+
+    @pytest.mark.parametrize("text", ["z", "xy", ""], ids=["outside_basis", "inside_basis", "epsilon"])
+    def test_foreign_alphabet_raises_whatever_the_letters(self, text):
+        # over {x, y, z}, z (letter 2) lies outside a basis over {a, b}, xy
+        # (letters 0 1) factors over it, and ε needs no factor: all three are
+        # words over another alphabet
+        hull = pseudo_free_hull(swap_ab(), [AB.word("a")])
+        with pytest.raises(AlphabetMismatch, match="^word from a different alphabet than the relation$"):
+            class_factorization(hull, Alphabet("xyz").word(text))
 
 
 class TestObjectReuse:
